@@ -137,7 +137,7 @@ def _cmd_fpp(args: argparse.Namespace) -> int:
                 "s": s,
                 "master_seed": args.seed,
                 "process": "fpp",
-                "height": res.tree.height(),
+                "height": res.height,
                 "cover_time": float(res.cover_time),
                 "longest_weighted_path_edges": int(res.longest_weighted_path_edges),
                 "hitting_times": [float(t) for t in res.hitting],

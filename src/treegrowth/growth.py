@@ -1,7 +1,8 @@
 """The two tree-growth processes and their exact small-graph law.
 
 The discrete process repeatedly adds a uniformly random boundary edge
-(exactly one endpoint inside the tree).  The continuous process assigns
+(exactly one endpoint inside the tree), drawn by rejection from a
+half-edge buffer in O(n + m) per tree.  The continuous process assigns
 independent unit-rate exponential weights to all edges and takes the
 shortest-path tree; by memorylessness the two processes produce the same
 tree law, which the law-equivalence machinery here verifies empirically
@@ -21,10 +22,9 @@ from scipy.sparse.csgraph import dijkstra
 from treegrowth.graphs import BudgetExceededError, Graph, GraphError
 from treegrowth.randomness import sample_exponential
 
-# Strategy/backend cutoffs.  Both sides of each cutoff implement the same
-# law; the choice is deterministic in the graph so replays are stable.
-_MULTISET_MAX_N = 2048
-_MULTISET_MAX_M = 50_000
+# Dijkstra backend cutoff: graphs up to this size run a heap in Python, which
+# avoids scipy's per-call overhead.  Both backends build the same tree, and
+# the choice is deterministic in the graph so replays are stable.
 _PYTHON_DIJKSTRA_MAX_N = 128
 
 
@@ -75,78 +75,59 @@ def sample_edge_weights(g: Graph, stream: np.random.Generator) -> np.ndarray:
 # -- discrete boundary-edge process ------------------------------------------
 
 
-def _grow_discrete_multiset(g: Graph, s: int, stream) -> RootedTree:
-    """Literal implementation: keep one entry per boundary edge, drop stale
-    entries lazily.  Conditioned on hitting a live entry the draw is uniform
-    over the boundary."""
-    n = g.n
-    parent = np.full(n, -1, dtype=np.int64)
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[s] = True
-    attach = [s]
-    boundary = [(s, int(v)) for v in g.neighbors(s)]
-    while len(attach) < n:
-        i = int(stream.integers(len(boundary)))
-        u, v = boundary[i]
-        boundary[i] = boundary[-1]
-        boundary.pop()
-        if in_tree[v]:
-            continue
-        parent[v] = u
-        in_tree[v] = True
-        attach.append(v)
-        for w in g.neighbors(v):
-            if not in_tree[w]:
-                boundary.append((v, int(w)))
-    return RootedTree(s, parent, np.asarray(attach, dtype=np.int64))
+def grow_discrete(g: Graph, s: int, stream: np.random.Generator) -> RootedTree:
+    """Grow a spanning tree from ``s`` by adding a uniform boundary edge per step.
 
-
-def _grow_discrete_weighted(g: Graph, s: int, stream) -> RootedTree:
-    """Vectorized equivalent: pick the inside endpoint with probability
-    proportional to its boundary degree, then a uniform outside neighbor.
-    Every boundary edge is chosen with probability 1/boundary size."""
-    n = g.n
-    indptr, indices = g.adj_indptr, g.adj_indices
-    parent = np.full(n, -1, dtype=np.int64)
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[s] = True
-    bdeg = np.zeros(n, dtype=np.int64)
-    bdeg[s] = g.degrees[s]
-    attach = np.empty(n, dtype=np.int64)
-    attach[0] = s
-    for step in range(1, n):
-        cw = np.cumsum(bdeg)
-        r = int(stream.integers(int(cw[-1])))
-        u = int(np.searchsorted(cw, r, side="right"))
-        nb = indices[indptr[u] : indptr[u + 1]]
-        outside = nb[~in_tree[nb]]
-        v = int(outside[stream.integers(outside.size)])
-        parent[v] = u
-        in_tree[v] = True
-        attach[step] = v
-        nbv = indices[indptr[v] : indptr[v + 1]]
-        inside = in_tree[nbv]
-        bdeg[nbv[inside]] -= 1
-        bdeg[v] = nbv.size - int(inside.sum())
-    return RootedTree(s, parent, attach)
-
-
-def grow_discrete(
-    g: Graph, s: int, stream: np.random.Generator, strategy: str = "auto"
-) -> RootedTree:
+    Each edge enters the half-edge buffer once, as (tree end, outside end),
+    when its first endpoint joins.  It goes stale when its outside end joins
+    later, so a draw that lands on it is rejected; conditioned on landing on
+    a live entry, the draw is uniform over the boundary.  The buffer is
+    compacted before a draw when fewer than half of its entries are live, so
+    a draw succeeds with probability at least 1/2.  A compaction costs at
+    most twice the stale entries it drops, and each entry goes stale once,
+    so the whole tree costs O(n + m).
+    """
     if not 0 <= s < g.n:
         raise GraphError(f"start vertex {s} out of range")
-    if strategy == "auto":
-        strategy = (
-            "multiset"
-            if g.n <= _MULTISET_MAX_N and g.m <= _MULTISET_MAX_M
-            else "weighted"
-        )
-    if strategy == "multiset":
-        return _grow_discrete_multiset(g, s, stream)
-    if strategy == "weighted":
-        return _grow_discrete_weighted(g, s, stream)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    n = g.n
+    indptr, indices = g.adj_indptr, g.adj_indices
+    parent = np.empty(n, dtype=np.int64)  # every vertex but s is assigned
+    parent[s] = -1
+    outside = np.ones(n, dtype=bool)
+    attach = np.empty(n, dtype=np.int64)
+    tree_end = np.empty(g.m, dtype=np.int64)
+    out_end = np.empty(g.m, dtype=np.int64)
+    size = live = 0
+    uniforms: list[float] = []
+    j = 0
+    v = s
+    for step in range(n):
+        if step:
+            if 2 * live < size:
+                keep = outside[out_end[:size]]
+                tree_end[:live] = tree_end[:size][keep]
+                out_end[:live] = out_end[:size][keep]
+                size = live
+            while True:
+                if j == len(uniforms):
+                    uniforms = stream.random(2 * (n - step)).tolist()
+                    j = 0
+                i = int(uniforms[j] * size)
+                j += 1
+                v = int(out_end[i])
+                if outside[v]:
+                    break
+            parent[v] = tree_end[i]
+        outside[v] = False
+        attach[step] = v
+        nb = indices[indptr[v] : indptr[v + 1]]
+        out = nb[outside[nb]]
+        k = out.size
+        tree_end[size : size + k] = v
+        out_end[size : size + k] = out
+        size += k
+        live += 2 * k - nb.size  # v's edges into the tree are no longer boundary
+    return RootedTree(s, parent, attach)
 
 
 # -- first-passage percolation ---------------------------------------------------
@@ -158,6 +139,7 @@ class FppResult:
     hitting: np.ndarray  # weighted distance from the root to each vertex
     cover_time: float  # max hitting time
     longest_weighted_path_edges: int  # tree depth of the last vertex reached
+    height: int  # tree depth of the deepest vertex
 
 
 def _dijkstra_python(g: Graph, s: int, w: np.ndarray):
@@ -202,7 +184,10 @@ def grow_fpp(g: Graph, s: int, weights, check: bool = False) -> FppResult:
     if check:
         _check_fpp_certificate(g, w, dist, tree)
     far = int(np.argmax(dist))
-    return FppResult(tree, dist, float(dist[far]), int(tree.depths()[far]))
+    depths = tree.depths()
+    return FppResult(
+        tree, dist, float(dist[far]), int(depths[far]), int(depths.max())
+    )
 
 
 def _check_fpp_certificate(g: Graph, w, dist, tree) -> None:
@@ -226,16 +211,6 @@ def _check_fpp_certificate(g: Graph, w, dist, tree) -> None:
     d_sorted = dist[tree.attach_order]
     if np.any(np.diff(d_sorted) < -tol):
         raise GrowthCertificateError("attach order is not monotone in hitting time")
-
-
-def sample_height(
-    g: Graph, s: int, stream: np.random.Generator, process: str = "fpp"
-) -> int:
-    if process == "fpp":
-        return grow_fpp(g, s, sample_edge_weights(g, stream)).tree.height()
-    if process == "discrete":
-        return grow_discrete(g, s, stream).height()
-    raise ValueError(f"unknown process {process!r}")
 
 
 # -- exact law on small graphs ------------------------------------------------------
@@ -297,15 +272,17 @@ def law_equivalence_test(
     """Empirical tree distribution of a process vs the exact discrete law."""
     from scipy import stats
 
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    if process not in ("discrete", "fpp"):
+        raise ValueError(f"unknown process {process!r}")
     law = exact_discrete_law(g, s)
     counts: Counter = Counter()
     for _ in range(trials):
         if process == "discrete":
             tree = grow_discrete(g, s, stream)
-        elif process == "fpp":
-            tree = grow_fpp(g, s, sample_edge_weights(g, stream)).tree
         else:
-            raise ValueError(f"unknown process {process!r}")
+            tree = grow_fpp(g, s, sample_edge_weights(g, stream)).tree
         counts[tree.edge_key(g)] += 1
     unknown = set(counts) - set(law)
     if unknown:

@@ -383,7 +383,7 @@ def _run_trial(ctx: _TrialContext, trial: int) -> TrialRecord:
         stream = stream_for(spec.master_seed, spec.experiment_id, trial, WEIGHT_CHANNEL)
         weights = sample_edge_weights(ctx.g, stream)
         res = grow_fpp(ctx.g, ctx.s, weights)
-        h = res.tree.height()
+        h = res.height
         if h < ctx.ecc_s:
             raise RuntimeError(
                 f"spanning tree height {h} below start eccentricity {ctx.ecc_s}"

@@ -10,7 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from scipy import stats
 
 from treegrowth.graphs import BudgetExceededError, Graph
 from treegrowth.growth import (
@@ -24,12 +25,13 @@ from treegrowth.growth import (
     grow_fpp,
     law_equivalence_test,
     sample_edge_weights,
-    sample_height,
 )
 from treegrowth.randomness import stream_for
 from treegrowth.families import gen_ladder
 
 from helpers import complete, connected_graphs, cycle, path
+
+HOUSE = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (2, 4), (3, 4)])
 
 
 def count_spanning_trees(g: Graph) -> int:
@@ -81,6 +83,7 @@ def test_law_budget():
 
 
 @given(connected_graphs())
+@example(Graph(1, []))
 @settings(max_examples=40)
 def test_grow_discrete_returns_spanning_tree(g):
     tree = grow_discrete(g, 0, stream_for(3, 0))
@@ -99,23 +102,14 @@ def test_grow_discrete_deterministic():
     assert a == b
 
 
-def test_strategies_share_the_law():
-    g = complete(3)
-    law = exact_discrete_law(g, 0)
-    stream = stream_for(5, 0)
-    trials = 20_000
-    counts = {}
-    for _ in range(trials):
-        key = grow_discrete(g, 0, stream, strategy="weighted").edge_key(g)
-        counts[key] = counts.get(key, 0) + 1
-    tv = 0.5 * sum(abs(counts.get(k, 0) / trials - float(p)) for k, p in law.items())
-    assert set(counts) <= set(law)
-    assert tv < 0.02
-
-
-def test_law_equivalence_discrete():
-    cmp = law_equivalence_test(complete(3), 0, 20_000, stream_for(5, 1))
-    assert cmp.support == 3
+@pytest.mark.parametrize(
+    "g",
+    [complete(3), cycle(4), complete(4), HOUSE],
+    ids=["triangle", "cycle4", "complete4", "house"],
+)
+def test_law_equivalence_discrete(g):
+    cmp = law_equivalence_test(g, 0, 20_000, stream_for(5, 1))
+    assert cmp.support == count_spanning_trees(g)
     assert cmp.tv_distance < 0.02
     assert cmp.chi2_pvalue > 1e-3
 
@@ -127,6 +121,37 @@ def test_law_equivalence_fpp():
     assert cmp.chi2_pvalue > 1e-3
 
 
+def test_law_equivalence_rejects_no_trials_before_enumerating():
+    # complete(10) is over the exact law's budget, so reaching the
+    # enumeration would raise BudgetExceededError instead.
+    with pytest.raises(ValueError, match="trial"):
+        law_equivalence_test(complete(10), 0, 0, stream_for(5, 3))
+
+
+def test_law_equivalence_rejects_unknown_process_before_enumerating():
+    with pytest.raises(ValueError, match="process"):
+        law_equivalence_test(complete(10), 0, 10, stream_for(5, 3), process="walk")
+
+
+def random_recursive_tree_height(n: int, stream: np.random.Generator) -> int:
+    """Height of a random recursive tree: vertex k attaches to a uniform one of 0..k-1."""
+    depth = [0] * n
+    for k, u in enumerate(stream.random(n - 1).tolist(), 1):
+        depth[k] = depth[int(u * k)] + 1
+    return max(depth)
+
+
+def test_discrete_height_on_complete_graph_matches_random_recursive_tree():
+    # On K_n every outside vertex has one boundary edge to each tree vertex,
+    # so the new vertex's parent is uniform over the tree (Pittel 1994).
+    n, trials = 64, 2000
+    g = complete(n)
+    grown = [grow_discrete(g, 0, stream_for(19, t)).height() for t in range(trials)]
+    oracle_stream = stream_for(19, trials)
+    oracle = [random_recursive_tree_height(n, oracle_stream) for _ in range(trials)]
+    assert stats.ks_2samp(grown, oracle).pvalue > 1e-3
+
+
 # -- first-passage percolation ------------------------------------------------------
 
 
@@ -136,7 +161,7 @@ def test_fpp_on_path():
     assert res.tree.parent.tolist() == [-1, 0, 1]
     assert res.cover_time == pytest.approx(1.7)
     assert res.longest_weighted_path_edges == 2
-    assert res.tree.height() == 2
+    assert res.height == res.tree.height() == 2
 
 
 def test_fpp_takes_detour():
@@ -154,10 +179,11 @@ def test_fpp_takes_detour():
 def test_fpp_certificate_on_random_inputs(g):
     w = sample_edge_weights(g, stream_for(7, g.n, g.m))
     res = grow_fpp(g, 0, w, check=True)
+    assert res.height == res.tree.height()
     assert res.cover_time >= 0.0
-    assert res.tree.height() >= g.eccentricity(0)
-    assert res.tree.height() >= res.longest_weighted_path_edges
-    assert res.tree.height() <= g.n - 1
+    assert res.height >= g.eccentricity(0)
+    assert res.height >= res.longest_weighted_path_edges
+    assert res.height <= g.n - 1
 
 
 def test_python_and_scipy_backends_agree():
@@ -204,6 +230,8 @@ def test_fpp_deterministic_replay():
 @settings(max_examples=30)
 def test_height_bounded_by_eccentricity_and_size(g):
     stream = stream_for(17, g.n, g.m)
-    for process in ("fpp", "discrete"):
-        h = sample_height(g, 0, stream, process)
+    for h in (
+        grow_fpp(g, 0, sample_edge_weights(g, stream)).height,
+        grow_discrete(g, 0, stream).height(),
+    ):
         assert g.eccentricity(0) <= h <= g.n - 1
