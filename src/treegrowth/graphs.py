@@ -77,7 +77,7 @@ class Graph:
         "_csr_indices",
         "_csr_edge_ids",
         "_ones",
-        "_eid_map",
+        "_edge_keys",
     )
 
     def __init__(self, n: int, edges) -> None:
@@ -117,7 +117,7 @@ class Graph:
         for arr in (self._csr_indices, self._csr_edge_ids, self._csr_indptr, self._degrees):
             arr.setflags(write=False)
         self._ones = None
-        self._eid_map = None
+        self._edge_keys = None
 
         ncomp, _ = connected_components(self._structure(), directed=False)
         if ncomp != 1:
@@ -159,15 +159,30 @@ class Graph:
         return self._csr_edge_ids[self._csr_indptr[v] : self._csr_indptr[v + 1]]
 
     def edge_id(self, u: int, v: int) -> int:
-        if self._eid_map is None:
-            self._eid_map = {
-                (int(a), int(b)): i for i, (a, b) in enumerate(self._edges)
-            }
-        key = (u, v) if u < v else (v, u)
-        try:
-            return self._eid_map[key]
-        except KeyError:
-            raise GraphError(f"no edge ({u}, {v})") from None
+        return int(self.edge_ids(u, v))
+
+    def edge_ids(self, u, v) -> np.ndarray:
+        """Ids of the edges {u[i], v[i]}, elementwise; GraphError if any is absent.
+
+        Canonical edges are lexsorted, so their keys ``u * n + v`` ascend and
+        one ``searchsorted`` finds every pair.  A miss is detected by comparing
+        the key found, so it is never rounded to a neighbouring id.
+        """
+        lo = np.minimum(u, v).astype(np.int64)
+        hi = np.maximum(u, v).astype(np.int64)
+        if lo.size and (lo.min() < 0 or hi.max() >= self.n):
+            raise GraphError("edge endpoint out of range")
+        if self._edge_keys is None:
+            # The sentinel n*n exceeds every key, so a miss past the end compares unequal.
+            keys = self._edges[:, 0] * self.n + self._edges[:, 1]
+            self._edge_keys = np.append(keys, self.n * self.n)
+        keys = lo * self.n + hi
+        pos = np.searchsorted(self._edge_keys, keys)
+        miss = self._edge_keys[pos] != keys
+        if miss.any():
+            i = np.flatnonzero(miss)[0]
+            raise GraphError(f"no edge ({lo.flat[i]}, {hi.flat[i]})")
+        return pos
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):

@@ -7,25 +7,34 @@ independent unit-rate exponential weights to all edges and takes the
 shortest-path tree; by memorylessness the two processes produce the same
 tree law, which the law-equivalence machinery here verifies empirically
 against an exact enumeration.
+
+All shortest-path trees come from one kernel, :func:`grow_fpp_block`: a
+block of B weight draws is stacked into one block-diagonal graph and solved
+by a single multi-source scipy Dijkstra call, and depths come from pointer
+doubling over the parent arrays.  The block is capped at ``_BLOCK_EDGES``
+stacked edges so its memory stays bounded whatever the trial count.  Trees
+in a block never interact, and each tree is the same as a lone solve would
+give: with continuous weights, two different paths tie with probability
+zero, so every vertex has a unique shortest path whatever order the heap
+settles vertices in.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from treegrowth.graphs import BudgetExceededError, Graph, GraphError
 from treegrowth.randomness import sample_exponential
 
-# Dijkstra backend cutoff: graphs up to this size run a heap in Python, which
-# avoids scipy's per-call overhead.  Both backends build the same tree, and
-# the choice is deterministic in the graph so replays are stable.
-_PYTHON_DIJKSTRA_MAX_N = 128
+# Cap on B * m for one block of FPP trials: the stacked graph and its outputs
+# stay a few hundred kilobytes, and a graph with m above the cap runs alone.
+_BLOCK_EDGES = 1 << 14
 
 
 class GrowthCertificateError(RuntimeError):
@@ -39,33 +48,45 @@ class RootedTree:
     attach_order: np.ndarray  # vertices in the order they joined
 
     def depths(self) -> np.ndarray:
-        n = len(self.parent)
-        d = np.full(n, -1, dtype=np.int64)
-        d[self.root] = 0
-        for v in range(n):
-            if d[v] >= 0:
-                continue
-            chain = [v]
-            u = int(self.parent[v])
-            while d[u] < 0:
-                chain.append(u)
-                u = int(self.parent[u])
-            base = int(d[u])
-            for i, w in enumerate(reversed(chain), 1):
-                d[w] = base + i
-        return d
+        return _forest_depths(self.parent)
 
     def height(self) -> int:
         return int(self.depths().max())
 
     def edge_key(self, g: Graph) -> tuple[int, ...]:
         """Sorted edge ids of the tree, a canonical identity for law tests."""
-        ids = [
-            g.edge_id(int(v), int(self.parent[v]))
-            for v in range(g.n)
-            if v != self.root
-        ]
-        return tuple(sorted(ids))
+        ids = _tree_edge_ids(g, self.parent[None, :], self.root)[0]
+        return tuple(sorted(ids.tolist()))
+
+
+def _forest_depths(parent: np.ndarray) -> np.ndarray:
+    """Depth of every vertex of a forest given by parent pointers, -1 at roots.
+
+    Pointer doubling (Wyllie's list ranking): each round adds the depth
+    gained so far at a vertex's pointer and then jumps the pointer twice as
+    far, so a tree of height h takes about log2(h) rounds of numpy work.
+    """
+    size = parent.size
+    root = parent < 0
+    nxt = np.where(root, np.arange(size), parent)
+    depth = (~root).astype(np.int64)
+    for _ in range(size.bit_length() + 1):
+        if root[nxt].all():
+            return depth
+        depth += depth[nxt]
+        nxt = nxt[nxt]
+    raise GrowthCertificateError("parent pointers do not all lead to a root")
+
+
+def _tree_edge_ids(g: Graph, parent: np.ndarray, root: int) -> np.ndarray:
+    """Edge id of (v, parent[v]) for every v != root, row by row of ``parent``."""
+    child = np.delete(np.arange(g.n), root)
+    try:
+        return g.edge_ids(child[None, :], parent[:, child])
+    except GraphError as exc:
+        raise GrowthCertificateError(
+            f"a tree edge is not an edge of the graph: {exc}"
+        ) from exc
 
 
 def sample_edge_weights(g: Graph, stream: np.random.Generator) -> np.ndarray:
@@ -142,49 +163,64 @@ class FppResult:
     height: int  # tree depth of the deepest vertex
 
 
-def _dijkstra_python(g: Graph, s: int, w: np.ndarray):
-    n = g.n
-    indptr, indices, eids = g.adj_indptr, g.adj_indices, g.adj_edge_ids
-    dist = np.full(n, np.inf)
-    parent = np.full(n, -1, dtype=np.int64)
-    done = np.zeros(n, dtype=bool)
-    dist[s] = 0.0
-    heap = [(0.0, s, -1)]
-    while heap:
-        d, v, p = heapq.heappop(heap)
-        if done[v]:
-            continue
-        done[v] = True
-        parent[v] = p
-        for i in range(indptr[v], indptr[v + 1]):
-            u = int(indices[i])
-            nd = d + w[eids[i]]
-            if not done[u] and nd < dist[u]:
-                dist[u] = nd
-                heapq.heappush(heap, (nd, u, v))
-    return dist, parent
+def block_size(g: Graph) -> int:
+    """Trials per FPP block on ``g``."""
+    return max(1, _BLOCK_EDGES // max(g.m, 1))
 
 
-def grow_fpp(g: Graph, s: int, weights, check: bool = False) -> FppResult:
+@dataclass(frozen=True)
+class FppBlock:
+    """Shortest-path trees of a block of B weight draws, one row per draw."""
+
+    dist: np.ndarray  # (B, n) weighted distance from the root
+    parent: np.ndarray  # (B, n) parent in the tree, -1 at the root
+    depth: np.ndarray  # (B, n) depth in the tree
+
+
+def grow_fpp_block(g: Graph, s: int, weights) -> FppBlock:
+    """Shortest-path trees from ``s`` for each row of a (B, m) weight matrix.
+
+    The B copies of the graph are stacked into one block-diagonal CSR, copy
+    b on vertices b*n .. b*n + n - 1, and solved by one multi-source
+    Dijkstra: with ``min_only`` each vertex keeps the tree of the only
+    source it can reach, its own copy's root.
+    """
     if not 0 <= s < g.n:
         raise GraphError(f"start vertex {s} out of range")
     w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (g.m,):
-        raise GraphError(f"need {g.m} edge weights, got shape {w.shape}")
+    if w.ndim != 2 or w.shape[1] != g.m:
+        raise GraphError(f"need (B, {g.m}) edge weights, got shape {w.shape}")
     if np.any(w < 0) or not np.all(np.isfinite(w)):
         raise GraphError("edge weights must be finite and non-negative")
-    if g.n <= _PYTHON_DIJKSTRA_MAX_N:
-        dist, parent = _dijkstra_python(g, s, w)
-    else:
-        dist, pred = dijkstra(g.weight_csr(w), indices=s, return_predecessors=True)
-        parent = pred.astype(np.int64)
-        parent[parent == -9999] = -1
+    b, n, half = w.shape[0], g.n, g.adj_indices.size
+    offsets = np.arange(b, dtype=np.int64)
+    indptr = np.append((g.adj_indptr[:-1] + half * offsets[:, None]).ravel(), b * half)
+    indices = (g.adj_indices + n * offsets[:, None]).ravel()
+    data = w[:, g.adj_edge_ids].ravel()
+    stacked = csr_matrix((data, indices, indptr), shape=(b * n, b * n))
+    dist, pred, _ = dijkstra(
+        stacked, indices=s + n * offsets, min_only=True, return_predecessors=True
+    )
+    pred = pred.astype(np.int64)
+    root = pred < 0
+    pred[root] = -1
+    depth = _forest_depths(pred)
+    parent = pred.reshape(b, n) - n * offsets[:, None]
+    parent[root.reshape(b, n)] = -1
+    return FppBlock(dist.reshape(b, n), parent, depth.reshape(b, n))
+
+
+def grow_fpp(g: Graph, s: int, weights, check: bool = False) -> FppResult:
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (g.m,):
+        raise GraphError(f"need {g.m} edge weights, got shape {w.shape}")
+    block = grow_fpp_block(g, s, w[None, :])
+    dist, depths = block.dist[0], block.depth[0]
     order = np.argsort(dist, kind="stable")
-    tree = RootedTree(s, parent, order)
+    tree = RootedTree(s, block.parent[0], order)
     if check:
         _check_fpp_certificate(g, w, dist, tree)
     far = int(np.argmax(dist))
-    depths = tree.depths()
     return FppResult(
         tree, dist, float(dist[far]), int(depths[far]), int(depths.max())
     )
@@ -201,13 +237,12 @@ def _check_fpp_certificate(g: Graph, w, dist, tree) -> None:
         raise GrowthCertificateError(
             f"edge {tuple(g.edges[e])} violates the triangle inequality"
         )
-    for x in range(g.n):
-        p = int(tree.parent[x])
-        if p < 0:
-            continue
-        expected = dist[p] + w[g.edge_id(x, p)]
-        if abs(dist[x] - expected) > tol:
-            raise GrowthCertificateError(f"vertex {x} is not tight through its parent")
+    child = np.delete(np.arange(g.n), tree.root)
+    eids = _tree_edge_ids(g, tree.parent[None, :], tree.root)[0]
+    loose = np.abs(dist[child] - (dist[tree.parent[child]] + w[eids])) > tol
+    if np.any(loose):
+        x = int(child[np.argmax(loose)])
+        raise GrowthCertificateError(f"vertex {x} is not tight through its parent")
     d_sorted = dist[tree.attach_order]
     if np.any(np.diff(d_sorted) < -tol):
         raise GrowthCertificateError("attach order is not monotone in hitting time")
@@ -269,29 +304,42 @@ def law_equivalence_test(
     stream: np.random.Generator,
     process: str = "discrete",
 ) -> LawComparison:
-    """Empirical tree distribution of a process vs the exact discrete law."""
-    from scipy import stats
+    """Empirical tree distribution of a process vs the exact discrete law.
+
+    Trees are drawn in blocks of ``block_size(g)`` and each is counted by
+    its edge set as a bitmask (the exact law is limited to small graphs, so
+    m stays far below 63).  FPP weights for a block are one (c, m) draw,
+    which consumes the stream exactly as c draws of m weights would.
+    """
+    from scipy.special import chdtrc
 
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     if process not in ("discrete", "fpp"):
         raise ValueError(f"unknown process {process!r}")
     law = exact_discrete_law(g, s)
+    bits = np.left_shift(1, np.arange(g.m, dtype=np.int64))
     counts: Counter = Counter()
-    for _ in range(trials):
+    size = block_size(g)
+    for start in range(0, trials, size):
+        c = min(size, trials - start)
         if process == "discrete":
-            tree = grow_discrete(g, s, stream)
+            parent = np.stack([grow_discrete(g, s, stream).parent for _ in range(c)])
         else:
-            tree = grow_fpp(g, s, sample_edge_weights(g, stream)).tree
-        counts[tree.edge_key(g)] += 1
-    unknown = set(counts) - set(law)
+            parent = grow_fpp_block(g, s, sample_exponential(stream, (c, g.m))).parent
+        masks = np.bitwise_or.reduce(bits[_tree_edge_ids(g, parent, s)], axis=1)
+        counts.update(dict(zip(*np.unique(masks, return_counts=True))))
+    keys = sorted(law)
+    law_masks = [sum(1 << e for e in k) for k in keys]
+    unknown = set(counts) - set(law_masks)
     if unknown:
         raise GrowthCertificateError(
             f"observed {len(unknown)} trees outside the exact support"
         )
-    keys = sorted(law)
-    obs = np.array([counts.get(k, 0) for k in keys], dtype=np.float64)
+    obs = np.array([counts.get(k, 0) for k in law_masks], dtype=np.float64)
     exp = np.array([float(law[k]) * trials for k in keys])
+    if obs.sum() != trials or abs(exp.sum() - trials) > 1e-8 * trials:
+        raise ValueError("observed and expected counts must both sum to the trials")
     tv = 0.5 * float(np.abs(obs - exp).sum()) / trials
-    chi2 = stats.chisquare(f_obs=obs, f_exp=exp)
-    return LawComparison(trials, len(keys), tv, float(chi2.pvalue))
+    stat = ((obs - exp) ** 2 / exp).sum()
+    return LawComparison(trials, len(keys), tv, float(chdtrc(len(keys) - 1, stat)))

@@ -31,7 +31,15 @@ from scipy.sparse.csgraph import dijkstra
 from .counting import BoundRow, bound_matrix
 from .families import FamilySpec, build_family, h_edge_mask
 from .graphs import Graph
-from .growth import grow_discrete, grow_fpp, sample_edge_weights
+# grow_fpp is not called here; it stays importable because bench/instrument.py
+# wraps harness.grow_fpp.
+from .growth import (  # noqa: F401
+    block_size,
+    grow_discrete,
+    grow_fpp,
+    grow_fpp_block,
+    sample_edge_weights,
+)
 from .randomness import stream_for
 
 __all__ = [
@@ -371,62 +379,75 @@ def _lower_bound_events(
     return chain_fast, tree_slow, target_met, implication_ok
 
 
-def _run_trial(ctx: _TrialContext, trial: int) -> TrialRecord:
+def _check_height(ctx: _TrialContext, h: int) -> None:
+    if h < ctx.ecc_s:
+        raise RuntimeError(
+            f"spanning tree height {h} below start eccentricity {ctx.ecc_s}"
+        )
+
+
+def _run_block(ctx: _TrialContext, trials: range) -> list[TrialRecord]:
+    """Records of consecutive trials; their FPP trees come from one kernel call."""
     spec = ctx.spec
     want_fpp = spec.process in ("fpp", "both")
     want_discrete = spec.process in ("discrete", "both")
     metrics = spec.metrics
-    height = height_discrete = cover = lwpe = None
-    hitting = None
-    events = (None, None, None, None)
     if want_fpp:
-        stream = stream_for(spec.master_seed, spec.experiment_id, trial, WEIGHT_CHANNEL)
-        weights = sample_edge_weights(ctx.g, stream)
-        res = grow_fpp(ctx.g, ctx.s, weights)
-        h = res.height
-        if h < ctx.ecc_s:
-            raise RuntimeError(
-                f"spanning tree height {h} below start eccentricity {ctx.ecc_s}"
+        weights = np.empty((len(trials), ctx.g.m))
+        for i, trial in enumerate(trials):
+            stream = stream_for(
+                spec.master_seed, spec.experiment_id, trial, WEIGHT_CHANNEL
             )
-        height = h
-        if "cover_time" in metrics:
-            cover = float(res.cover_time)
-            lwpe = int(res.longest_weighted_path_edges)
-        if "hitting_times" in metrics:
-            hitting = tuple(float(t) for t in res.hitting)
-        if "event_AB" in metrics:
-            events = _lower_bound_events(ctx, weights, h)
-    if want_discrete:
-        stream = stream_for(
-            spec.master_seed, spec.experiment_id, trial, DISCRETE_CHANNEL
-        )
-        tree = grow_discrete(ctx.g, ctx.s, stream)
-        h = tree.height()
-        if h < ctx.ecc_s:
-            raise RuntimeError(
-                f"spanning tree height {h} below start eccentricity {ctx.ecc_s}"
-            )
+            weights[i] = sample_edge_weights(ctx.g, stream)
+        block = grow_fpp_block(ctx.g, ctx.s, weights)
+    records = []
+    for i, trial in enumerate(trials):
+        height = height_discrete = cover = lwpe = None
+        hitting = None
+        events = (None, None, None, None)
         if want_fpp:
-            height_discrete = h
-        else:
+            dist, depth = block.dist[i], block.depth[i]
+            h = int(depth.max())
+            _check_height(ctx, h)
             height = h
-    if "height" not in metrics:
-        height = height_discrete = None
-    primary = WEIGHT_CHANNEL if want_fpp else DISCRETE_CHANNEL
-    return TrialRecord(
-        trial=trial,
-        seed_path=(spec.experiment_id, trial, primary),
-        process=spec.process,
-        height=height,
-        height_discrete=height_discrete,
-        cover_time=cover,
-        longest_weighted_path_edges=lwpe,
-        hitting_times=hitting,
-        event_chain_fast=events[0],
-        event_tree_slow=events[1],
-        height_target_met=events[2],
-        implication_ok=events[3],
-    )
+            if "cover_time" in metrics:
+                far = int(np.argmax(dist))
+                cover = float(dist[far])
+                lwpe = int(depth[far])
+            if "hitting_times" in metrics:
+                hitting = tuple(dist.tolist())
+            if "event_AB" in metrics:
+                events = _lower_bound_events(ctx, weights[i], h)
+        if want_discrete:
+            stream = stream_for(
+                spec.master_seed, spec.experiment_id, trial, DISCRETE_CHANNEL
+            )
+            h = grow_discrete(ctx.g, ctx.s, stream).height()
+            _check_height(ctx, h)
+            if want_fpp:
+                height_discrete = h
+            else:
+                height = h
+        if "height" not in metrics:
+            height = height_discrete = None
+        primary = WEIGHT_CHANNEL if want_fpp else DISCRETE_CHANNEL
+        records.append(
+            TrialRecord(
+                trial=trial,
+                seed_path=(spec.experiment_id, trial, primary),
+                process=spec.process,
+                height=height,
+                height_discrete=height_discrete,
+                cover_time=cover,
+                longest_weighted_path_edges=lwpe,
+                hitting_times=hitting,
+                event_chain_fast=events[0],
+                event_tree_slow=events[1],
+                height_target_met=events[2],
+                implication_ok=events[3],
+            )
+        )
+    return records
 
 
 _WORKER_CTX: _TrialContext | None = None
@@ -437,9 +458,9 @@ def _worker_init(spec_doc: dict, max_vertices: int) -> None:
     _WORKER_CTX = _make_context(ExperimentSpec.from_json_dict(spec_doc), max_vertices)
 
 
-def _worker_trial(trial: int) -> TrialRecord:
+def _worker_block(trials: range) -> list[TrialRecord]:
     assert _WORKER_CTX is not None
-    return _run_trial(_WORKER_CTX, trial)
+    return _run_block(_WORKER_CTX, trials)
 
 
 # -- campaign drivers ----------------------------------------------------------------
@@ -452,19 +473,25 @@ def run_experiment(
 
     The record list is sorted by trial index and is identical for any worker
     count; workers only change how the fixed per-trial work is scheduled.
+    FPP trials run in blocks of consecutive trials, one shortest-path kernel
+    call per block, each trial still drawing its weights from its own stream.
     """
     ctx = _make_context(spec, max_vertices)
-    if spec.workers == 1 or spec.trials == 1:
-        records = [_run_trial(ctx, t) for t in range(spec.trials)]
+    # Enough blocks that every worker gets one, none over the kernel's cap.
+    size = min(block_size(ctx.g), math.ceil(spec.trials / spec.workers))
+    blocks = [
+        range(start, min(start + size, spec.trials))
+        for start in range(0, spec.trials, size)
+    ]
+    if spec.workers == 1 or len(blocks) == 1:
+        records = [r for block in blocks for r in _run_block(ctx, block)]
     else:
-        chunk = max(1, spec.trials // (spec.workers * 4))
         with multiprocessing.Pool(
             processes=spec.workers,
             initializer=_worker_init,
             initargs=(spec.to_json_dict(), max_vertices),
         ) as pool:
-            records = list(pool.map(_worker_trial, range(spec.trials), chunk))
-    records.sort(key=lambda r: r.trial)
+            records = [r for part in pool.map(_worker_block, blocks, 1) for r in part]
     return records, summarize(spec, ctx, records)
 
 

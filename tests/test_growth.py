@@ -3,35 +3,74 @@
 The triangle and 4-cycle laws are computed by hand and frozen; larger
 cases are checked structurally (supports equal the spanning-tree count
 from the matrix-tree determinant, probabilities sum to one) and
-statistically against the exact enumeration.
+statistically against the exact enumeration.  The batched FPP kernel is
+checked bit for bit against a plain heap Dijkstra kept here as an oracle.
 """
 
+import heapq
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from treegrowth import growth
 from treegrowth.graphs import BudgetExceededError, Graph
 from treegrowth.growth import (
     FppResult,
     GrowthCertificateError,
     RootedTree,
     _check_fpp_certificate,
-    _dijkstra_python,
+    _forest_depths,
     exact_discrete_law,
     grow_discrete,
     grow_fpp,
+    grow_fpp_block,
     law_equivalence_test,
     sample_edge_weights,
 )
 from treegrowth.randomness import stream_for
-from treegrowth.families import gen_ladder
 
 from helpers import complete, connected_graphs, cycle, path
 
 HOUSE = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (2, 4), (3, 4)])
+
+
+def dijkstra_oracle(g: Graph, s: int, w: np.ndarray):
+    """Heap Dijkstra in Python: hitting times and parents (-1 at the root)."""
+    n = g.n
+    indptr, indices, eids = g.adj_indptr, g.adj_indices, g.adj_edge_ids
+    dist = np.full(n, np.inf)
+    parent = np.full(n, -1, dtype=np.int64)
+    done = np.zeros(n, dtype=bool)
+    dist[s] = 0.0
+    heap = [(0.0, s, -1)]
+    while heap:
+        d, v, p = heapq.heappop(heap)
+        if done[v]:
+            continue
+        done[v] = True
+        parent[v] = p
+        for i in range(indptr[v], indptr[v + 1]):
+            u = int(indices[i])
+            nd = d + w[eids[i]]
+            if not done[u] and nd < dist[u]:
+                dist[u] = nd
+                heapq.heappush(heap, (nd, u, v))
+    return dist, parent
+
+
+def walk_depths(parent: np.ndarray) -> list[int]:
+    """Depths by walking every vertex up to its root."""
+    depths = []
+    for v in range(len(parent)):
+        d = 0
+        while parent[v] >= 0:
+            v, d = int(parent[v]), d + 1
+        depths.append(d)
+    return depths
 
 
 def count_spanning_trees(g: Graph) -> int:
@@ -121,6 +160,45 @@ def test_law_equivalence_fpp():
     assert cmp.chi2_pvalue > 1e-3
 
 
+@pytest.mark.parametrize(
+    "g",
+    [complete(3), cycle(4), complete(4), HOUSE],
+    ids=["triangle", "cycle4", "complete4", "house"],
+)
+def test_law_pvalue_matches_scipy_chisquare(g):
+    law = exact_discrete_law(g, 0)
+    keys = sorted(law)
+    for process in ("fpp", "discrete"):
+        cmp = law_equivalence_test(g, 0, 3000, stream_for(5, 4), process=process)
+        stream = stream_for(5, 4)
+        counts = dict.fromkeys(keys, 0)
+        for _ in range(3000):
+            if process == "fpp":
+                tree = grow_fpp(g, 0, sample_edge_weights(g, stream)).tree
+            else:
+                tree = grow_discrete(g, 0, stream)
+            counts[tree.edge_key(g)] += 1
+        obs = np.array([counts[k] for k in keys], dtype=np.float64)
+        exp = np.array([float(law[k]) * 3000 for k in keys])
+        assert cmp.chi2_pvalue == stats.chisquare(f_obs=obs, f_exp=exp).pvalue
+
+
+def test_law_equivalence_rejects_a_tree_edge_outside_the_graph(monkeypatch):
+    real = growth.grow_discrete
+
+    def corrupted(g, s, stream):
+        tree = real(g, s, stream)
+        parent = tree.parent.copy()
+        parent[2] = 0  # (0, 2) is a diagonal of the 4-cycle, not an edge
+        return RootedTree(tree.root, parent, tree.attach_order)
+
+    monkeypatch.setattr(growth, "grow_discrete", corrupted)
+    with pytest.raises(GrowthCertificateError, match="not an edge"):
+        law_equivalence_test(cycle(4), 0, 10, stream_for(5, 3))
+    with pytest.raises(GrowthCertificateError, match="not an edge"):
+        corrupted(cycle(4), 0, stream_for(5, 3)).edge_key(cycle(4))
+
+
 def test_law_equivalence_rejects_no_trials_before_enumerating():
     # complete(10) is over the exact law's budget, so reaching the
     # enumeration would raise BudgetExceededError instead.
@@ -186,13 +264,36 @@ def test_fpp_certificate_on_random_inputs(g):
     assert res.height <= g.n - 1
 
 
-def test_python_and_scipy_backends_agree():
-    g, _ = gen_ladder(100, 2)  # 200 vertices forces the scipy path
-    w = sample_edge_weights(g, stream_for(13, 0))
-    res = grow_fpp(g, 0, w, check=True)
-    dist, parent = _dijkstra_python(g, 0, w)
-    assert np.allclose(res.hitting, dist, atol=1e-12)
-    assert np.array_equal(res.tree.parent, parent)
+@given(connected_graphs(), st.integers(2, 6), st.data())
+@settings(max_examples=60)
+def test_fpp_block_matches_dijkstra_oracle(g, b, data):
+    # Continuous weights: ties have probability zero, so the oracle's tree
+    # is the only shortest-path tree and both must agree bit for bit.
+    s = data.draw(st.integers(0, g.n - 1))
+    w = np.stack([sample_edge_weights(g, stream_for(13, g.n, g.m, i)) for i in range(b)])
+    block = grow_fpp_block(g, s, w)
+    assert block.dist.shape == block.parent.shape == block.depth.shape == (b, g.n)
+    for i in range(b):
+        dist, parent = dijkstra_oracle(g, s, w[i])
+        assert np.array_equal(block.dist[i], dist)
+        assert np.array_equal(block.parent[i], parent)
+        assert block.depth[i].tolist() == walk_depths(parent)
+
+
+@given(connected_graphs())
+@example(Graph(1, []))
+@settings(max_examples=40)
+def test_pointer_doubling_depths_match_parent_walk(g):
+    tree = grow_discrete(g, 0, stream_for(23, g.n, g.m))
+    assert tree.depths().tolist() == walk_depths(tree.parent)
+    second = np.where(tree.parent < 0, -1, tree.parent + g.n)  # a copy on n..2n-1
+    forest = np.concatenate([tree.parent, second])
+    assert _forest_depths(forest).tolist() == walk_depths(forest)
+
+
+def test_pointer_doubling_rejects_a_cycle():
+    with pytest.raises(GrowthCertificateError):
+        _forest_depths(np.array([-1, 2, 1]))
 
 
 def test_fpp_rejects_bad_weights():
@@ -213,6 +314,17 @@ def test_certificate_detects_corruption():
     shuffled = RootedTree(0, res.tree.parent, res.tree.attach_order[::-1].copy())
     with pytest.raises(GrowthCertificateError):
         _check_fpp_certificate(g, w, res.hitting, shuffled)
+
+
+def test_certificate_detects_a_loose_parent():
+    # Hitting times and attach order are right; only vertex 2's parent is
+    # wrong: the direct edge (0, 2) of weight 3 is not its shortest path.
+    g = complete(3)
+    w = np.array([1.0, 3.0, 0.5])
+    res = grow_fpp(g, 0, w, check=True)
+    loose = RootedTree(0, np.array([-1, 0, 0]), res.tree.attach_order)
+    with pytest.raises(GrowthCertificateError, match="vertex 2 is not tight"):
+        _check_fpp_certificate(g, w, res.hitting, loose)
 
 
 def test_fpp_deterministic_replay():

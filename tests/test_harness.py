@@ -10,6 +10,7 @@ import pytest
 
 from treegrowth.counting import BoundRow
 from treegrowth.families import FamilySpec
+from treegrowth.growth import block_size, grow_fpp, sample_edge_weights
 from treegrowth.harness import (
     RECORD_KEYS,
     ExperimentSpec,
@@ -25,6 +26,7 @@ from treegrowth.harness import (
     _make_context,
     _summarize_metric,
 )
+from treegrowth.randomness import stream_for
 
 
 def _config(**overrides):
@@ -126,6 +128,28 @@ def test_worker_count_does_not_change_output():
     solo, _ = run_experiment(ExperimentSpec.from_json_dict(base))
     multi, _ = run_experiment(ExperimentSpec.from_json_dict(dict(base, workers=3)))
     assert solo == multi
+
+
+def test_blocks_do_not_change_output():
+    # K_64 has 2016 edges, so FPP trials run in blocks of a few; 19 trials
+    # leave a partial block both alone and split across three workers.
+    base = _config(
+        family={"kind": "complete", "params": {"n": 64}},
+        trials=19,
+        metrics=["height", "cover_time", "hitting_times"],
+    )
+    spec = ExperimentSpec.from_json_dict(base)
+    ctx = _make_context(spec, max_vertices=1 << 20)
+    assert 1 < block_size(ctx.g) < 19 and 19 % block_size(ctx.g)
+    solo, _ = run_experiment(spec)
+    multi, _ = run_experiment(ExperimentSpec.from_json_dict(dict(base, workers=3)))
+    assert solo == multi
+    assert [r.trial for r in solo] == list(range(19))
+    for r in (solo[0], solo[-1]):
+        w = sample_edge_weights(ctx.g, stream_for(7, 0, r.trial, 0))
+        res = grow_fpp(ctx.g, 0, w)
+        assert r.height == res.height and r.cover_time == res.cover_time
+        assert r.hitting_times == tuple(res.hitting.tolist())
 
 
 def test_path_from_end_always_full_height():
