@@ -28,7 +28,7 @@ from .counting import (
 from .families import E2, FamilySpec, build_family
 from .graphs import Graph
 from .growth import law_equivalence_test
-from .harness import ExperimentSpec, run_experiment, run_lower_bound_experiment
+from .harness import OUTPUT_FILES, ExperimentSpec, run_experiment
 from .randomness import (
     check_erlang_head,
     check_erlang_tail,
@@ -386,7 +386,7 @@ def criterion_9(workers: int = 1) -> CriterionResult:
             experiment_id=901 + i,
         )
         try:
-            records, summary = run_lower_bound_experiment(spec)
+            records, _ = run_experiment(spec)
         except RuntimeError as exc:
             return _timed(9, "lower-bound construction heights", False,
                           f"{family.kind} delta={family.params['delta']}: {exc}", t0)
@@ -448,9 +448,6 @@ def criterion_10(workers: int = 1) -> CriterionResult:
 # -- 11: experiment runs are byte-reproducible --------------------------------------
 
 
-_EXPT_FILES = ("spec.json", "records.jsonl", "summary.csv", "verdicts.csv", "events.csv")
-
-
 def criterion_11(workers: int = 1) -> CriterionResult:
     from .cli import main as cli_main
 
@@ -479,14 +476,14 @@ def criterion_11(workers: int = 1) -> CriterionResult:
                 return _timed(11, "byte-identical reruns", False,
                               f"expt ({name}) exited {code}", t0)
         for other in ("run2", "w8"):
-            for fname in _EXPT_FILES:
+            for fname in OUTPUT_FILES:
                 if not filecmp.cmp(root / "run1" / fname, root / other / fname,
                                    shallow=False):
                     return _timed(11, "byte-identical reruns", False,
                                   f"{fname} differs between run1 and {other}", t0)
     return _timed(
         11, "byte-identical reruns", True,
-        f"{len(_EXPT_FILES)} output files identical across a rerun"
+        f"{len(OUTPUT_FILES)} output files identical across a rerun"
         " and across worker counts 1 and 8", t0,
     )
 

@@ -8,6 +8,7 @@ variable supplies the default output directory for commands that write files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -27,11 +28,9 @@ from .harness import (
     WEIGHT_CHANNEL,
     ExperimentSpec,
     HarnessError,
+    resolve_start,
     run_experiment,
-    write_events_csv,
-    write_records_jsonl,
-    write_summary_csv,
-    write_verdicts_csv,
+    write_outputs,
 )
 from .randomness import stream_for
 
@@ -59,12 +58,9 @@ def _family_spec(args: argparse.Namespace) -> FamilySpec:
     return FamilySpec(args.family, params)
 
 
-def _start_vertex(args: argparse.Namespace, g, meta) -> int:
-    if args.s is not None:
-        if not 0 <= args.s < g.n:
-            raise GraphError(f"start vertex {args.s} out of range for n={g.n}")
-        return args.s
-    return meta.start_vertex if args.s_policy == "group-V1" else 0
+def _start_policy(args: argparse.Namespace) -> str | int:
+    """An explicit --s wins over --s-policy."""
+    return args.s if args.s is not None else args.s_policy
 
 
 def _add_start_arguments(parser: argparse.ArgumentParser) -> None:
@@ -106,7 +102,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_grow(args: argparse.Namespace) -> int:
     g, meta = build_family(_family_spec(args), max_vertices=args.max_vertices)
-    s = _start_vertex(args, g, meta)
+    s = resolve_start(_start_policy(args), g, meta)
     stream = stream_for(args.seed, 0, 0, DISCRETE_CHANNEL)
     tree = grow_discrete(g, s, stream)
     print(
@@ -126,7 +122,7 @@ def _cmd_grow(args: argparse.Namespace) -> int:
 
 def _cmd_fpp(args: argparse.Namespace) -> int:
     g, meta = build_family(_family_spec(args), max_vertices=args.max_vertices)
-    s = _start_vertex(args, g, meta)
+    s = resolve_start(_start_policy(args), g, meta)
     stream = stream_for(args.seed, 0, 0, WEIGHT_CHANNEL)
     res = grow_fpp(g, s, sample_edge_weights(g, stream))
     print(
@@ -151,7 +147,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     from .counting import count_report
 
     g, meta = build_family(_family_spec(args), max_vertices=args.max_vertices)
-    s = _start_vertex(args, g, meta)
+    s = resolve_start(_start_policy(args), g, meta)
     label = args.family + "".join(
         f"_{key}{value}" for key, value in sorted(meta.params.items())
         if isinstance(value, int)
@@ -172,33 +168,14 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_expt(args: argparse.Namespace) -> int:
     with open(args.config, encoding="utf-8") as fh:
         doc = json.load(fh)
-    spec = ExperimentSpec.from_json_dict(doc)
-    if args.seed is not None or args.trials is not None or args.workers is not None:
-        spec = ExperimentSpec(
-            family=spec.family,
-            s_policy=spec.s_policy,
-            process=spec.process,
-            trials=args.trials if args.trials is not None else spec.trials,
-            master_seed=args.seed if args.seed is not None else spec.master_seed,
-            metrics=spec.metrics,
-            workers=args.workers if args.workers is not None else spec.workers,
-            experiment_id=spec.experiment_id,
-        )
+    overrides = {"master_seed": args.seed, "trials": args.trials, "workers": args.workers}
+    spec = dataclasses.replace(
+        ExperimentSpec.from_json_dict(doc),
+        **{k: v for k, v in overrides.items() if v is not None},
+    )
     outdir = _outdir(args) or Path(".")
-    outdir.mkdir(parents=True, exist_ok=True)
     records, summary = run_experiment(spec, max_vertices=args.max_vertices)
-    # workers is a scheduling detail, not part of the reproducible result
-    resolved = spec.to_json_dict()
-    del resolved["workers"]
-    (outdir / "spec.json").write_text(json.dumps(resolved, indent=2) + "\n")
-    with open(outdir / "records.jsonl", "w", encoding="utf-8") as fh:
-        write_records_jsonl(records, fh)
-    with open(outdir / "summary.csv", "w", encoding="utf-8") as fh:
-        write_summary_csv(summary, fh)
-    with open(outdir / "verdicts.csv", "w", encoding="utf-8") as fh:
-        write_verdicts_csv(summary.verdicts, fh)
-    with open(outdir / "events.csv", "w", encoding="utf-8") as fh:
-        write_events_csv(summary, fh)
+    write_outputs(outdir, spec, records, summary)
     for v in summary.verdicts:
         flag = "PASS" if v.passed else "FAIL"
         print(f"{flag} {v.check_id}: empirical {v.empirical!r} vs allowance {v.threshold!r}")

@@ -13,6 +13,11 @@ attachment pair of the glued tree is farther apart than the threshold inside
 the tree subgraph (tree_slow).  Together these force the grown tree to be at
 least as tall as the construction's height target, and that implication is
 asserted on every single trial.
+
+The parent process builds the graph and the per-trial context once; pool
+workers receive that context at start-up and reuse it (copy-on-write under
+fork), so no worker builds the family again.  ``write_outputs`` owns the
+campaign's file set, ``OUTPUT_FILES``.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ import io
 import json
 import math
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -40,9 +46,10 @@ from .growth import (  # noqa: F401
     grow_fpp_block,
     sample_edge_weights,
 )
-from .randomness import stream_for
+from .randomness import binomial_margin, stream_for
 
 __all__ = [
+    "OUTPUT_FILES",
     "ExperimentSpec",
     "HarnessError",
     "MetricSummary",
@@ -50,9 +57,11 @@ __all__ = [
     "TrialRecord",
     "Verdict",
     "check_upper_bounds",
+    "resolve_start",
     "run_experiment",
-    "run_lower_bound_experiment",
+    "summarize",
     "write_events_csv",
+    "write_outputs",
     "write_records_jsonl",
     "write_summary_csv",
     "write_verdicts_csv",
@@ -93,6 +102,10 @@ class ExperimentSpec:
             raise HarnessError("explicit start vertex must be >= 0")
         if self.process not in PROCESSES:
             raise HarnessError(f"unknown process {self.process!r}")
+        for name in ("trials", "master_seed", "workers", "experiment_id"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise HarnessError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise HarnessError("trials must be >= 1")
         if not 0 <= self.master_seed < 2**64:
@@ -274,10 +287,6 @@ def _summarize_metric(name: str, values: list[float]) -> MetricSummary:
     )
 
 
-def binomial_margin(phat: float, trials: int) -> float:
-    return 3.0 * math.sqrt(phat * (1.0 - phat) / trials)
-
-
 def check_upper_bounds(
     records: list[TrialRecord], rows: list[BoundRow]
 ) -> list[Verdict]:
@@ -317,15 +326,15 @@ def check_upper_bounds(
 # -- per-trial work ----------------------------------------------------------------
 
 
-def _resolve_start(spec: ExperimentSpec, g: Graph, meta) -> int:
-    if spec.s_policy == "first-vertex":
+def resolve_start(policy: str | int, g: Graph, meta) -> int:
+    """The start vertex a policy name or an explicit vertex id names on g."""
+    if policy == "first-vertex":
         return 0
-    if spec.s_policy == "group-V1":
+    if policy == "group-V1":
         return meta.start_vertex
-    s = int(spec.s_policy)
-    if not s < g.n:
-        raise HarnessError(f"start vertex {s} out of range for n={g.n}")
-    return s
+    if not 0 <= policy < g.n:
+        raise HarnessError(f"start vertex {policy} out of range for n={g.n}")
+    return policy
 
 
 @dataclass
@@ -341,7 +350,7 @@ class _TrialContext:
 
 def _make_context(spec: ExperimentSpec, max_vertices: int) -> _TrialContext:
     g, meta = build_family(spec.family, max_vertices=max_vertices)
-    s = _resolve_start(spec, g, meta)
+    s = resolve_start(spec.s_policy, g, meta)
     mask = leaves = None
     if "event_AB" in spec.metrics:
         mask = h_edge_mask(g, meta)
@@ -453,9 +462,9 @@ def _run_block(ctx: _TrialContext, trials: range) -> list[TrialRecord]:
 _WORKER_CTX: _TrialContext | None = None
 
 
-def _worker_init(spec_doc: dict, max_vertices: int) -> None:
+def _worker_init(ctx: _TrialContext) -> None:
     global _WORKER_CTX
-    _WORKER_CTX = _make_context(ExperimentSpec.from_json_dict(spec_doc), max_vertices)
+    _WORKER_CTX = ctx
 
 
 def _worker_block(trials: range) -> list[TrialRecord]:
@@ -475,6 +484,7 @@ def run_experiment(
     count; workers only change how the fixed per-trial work is scheduled.
     FPP trials run in blocks of consecutive trials, one shortest-path kernel
     call per block, each trial still drawing its weights from its own stream.
+    Pool workers get the context built here; they never build the graph.
     """
     ctx = _make_context(spec, max_vertices)
     # Enough blocks that every worker gets one, none over the kernel's cap.
@@ -489,33 +499,10 @@ def run_experiment(
         with multiprocessing.Pool(
             processes=spec.workers,
             initializer=_worker_init,
-            initargs=(spec.to_json_dict(), max_vertices),
+            initargs=(ctx,),
         ) as pool:
             records = [r for part in pool.map(_worker_block, blocks, 1) for r in part]
     return records, summarize(spec, ctx, records)
-
-
-def run_lower_bound_experiment(
-    spec: ExperimentSpec, max_vertices: int = 1 << 20
-) -> tuple[list[TrialRecord], Summary]:
-    """Campaign over a lower-bound family with the coupled events recorded."""
-    if spec.family.kind not in LOWER_BOUND_KINDS:
-        raise HarnessError(
-            f"lower-bound experiment needs one of {LOWER_BOUND_KINDS},"
-            f" got {spec.family.kind!r}"
-        )
-    metrics = set(spec.metrics) | {"height", "event_AB"}
-    spec = ExperimentSpec(
-        family=spec.family,
-        s_policy=spec.s_policy,
-        process="fpp" if spec.process == "discrete" else spec.process,
-        trials=spec.trials,
-        master_seed=spec.master_seed,
-        metrics=tuple(metrics),
-        workers=spec.workers,
-        experiment_id=spec.experiment_id,
-    )
-    return run_experiment(spec, max_vertices=max_vertices)
 
 
 def summarize(
@@ -554,6 +541,30 @@ def summarize(
 
 
 # -- flat-file emission ----------------------------------------------------------------
+
+
+OUTPUT_FILES = ("spec.json", "records.jsonl", "summary.csv", "verdicts.csv", "events.csv")
+
+
+def write_outputs(
+    outdir: str | Path, spec: ExperimentSpec, records: list[TrialRecord], summary: Summary
+) -> None:
+    """Write the campaign's OUTPUT_FILES into outdir, creating it if needed."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    # workers is a scheduling detail, not part of the reproducible result
+    resolved = spec.to_json_dict()
+    del resolved["workers"]
+    writers = {
+        "spec.json": lambda fh: fh.write(json.dumps(resolved, indent=2) + "\n"),
+        "records.jsonl": lambda fh: write_records_jsonl(records, fh),
+        "summary.csv": lambda fh: write_summary_csv(summary, fh),
+        "verdicts.csv": lambda fh: write_verdicts_csv(summary.verdicts, fh),
+        "events.csv": lambda fh: write_events_csv(summary, fh),
+    }
+    for name in OUTPUT_FILES:
+        with open(outdir / name, "w", encoding="utf-8") as fh:
+            writers[name](fh)
 
 
 def write_records_jsonl(records: list[TrialRecord], fh: io.TextIOBase) -> None:

@@ -107,11 +107,16 @@ class TailCheckReport:
         return all(r.passed for r in self.rows)
 
 
+def binomial_margin(phat: float, trials: int) -> float:
+    """Three-sigma slack, so a true-but-tight bound does not fail on noise alone."""
+    return 3.0 * math.sqrt(phat * (1.0 - phat) / trials)
+
+
 def _row(threshold: float, phat: float, bound: float, trials: int) -> TailCheckRow:
-    # Three-sigma slack keeps a true-but-tight bound from failing on noise.
-    slack = 3.0 * math.sqrt(phat * (1.0 - phat) / trials)
     capped = min(bound, 1.0)
-    return TailCheckRow(threshold, phat, capped, phat <= capped + slack)
+    return TailCheckRow(
+        threshold, phat, capped, phat <= capped + binomial_margin(phat, trials)
+    )
 
 
 def check_erlang_head(

@@ -8,6 +8,7 @@ import pytest
 
 from treegrowth.cli import main
 from treegrowth.graphs import Graph
+from treegrowth.harness import OUTPUT_FILES
 
 
 def _expt_config(tmp_path, **overrides):
@@ -61,10 +62,17 @@ def test_gen_plan_does_not_build(capsys):
     assert plan["n_vertices"] > 1 << 20  # far past the build budget, plan is fine
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["gen", "--family", "glued_G", "--L", "3", "--delta", "1", "--a", "8"]) == 2
     assert main(["expt", "--config", "/nonexistent/config.json"]) == 2
     assert main(["gen", "--family", "grid", "--d", "9", "--k", "9"]) == 2  # budget
+    for s in ("-1", "99"):  # the start vertex must lie in [0, n)
+        assert main(["grow", "--family", "complete", "--n", "4", "--s", s]) == 2
+    out = tmp_path / "out"
+    for key, value in (("master_seed", "7"), ("trials", True)):
+        config = _expt_config(tmp_path, **{key: value})
+        assert main(["expt", "--config", str(config), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_grow_and_fpp_json(capsys):
@@ -100,8 +108,8 @@ def test_expt_runs_twice_byte_identical(tmp_path, capsys):
     assert main(["expt", "--config", str(config), "--out", str(out_a)]) == 0
     assert main(["expt", "--config", str(config), "--out", str(out_b),
                  "--workers", "4"]) == 0
-    for name in ("spec.json", "records.jsonl", "summary.csv", "verdicts.csv",
-                 "events.csv"):
+    assert sorted(p.name for p in out_a.iterdir()) == sorted(OUTPUT_FILES)
+    for name in OUTPUT_FILES:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
     records = (out_a / "records.jsonl").read_text().splitlines()
     assert len(records) == 12

@@ -4,10 +4,14 @@ import dataclasses
 import io
 import json
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+import treegrowth
+from treegrowth import harness
 from treegrowth.counting import BoundRow
 from treegrowth.families import FamilySpec
 from treegrowth.growth import block_size, grow_fpp, sample_edge_weights
@@ -18,7 +22,6 @@ from treegrowth.harness import (
     TrialRecord,
     check_upper_bounds,
     run_experiment,
-    run_lower_bound_experiment,
     write_records_jsonl,
     write_summary_csv,
     write_verdicts_csv,
@@ -80,6 +83,24 @@ def test_config_rejects_bad_fields():
         ExperimentSpec.from_json_dict(_config(trials=0))
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("master_seed", "7"),
+        ("master_seed", None),
+        ("master_seed", 7.0),
+        ("trials", 2.5),
+        ("trials", True),
+        ("workers", 1.5),
+        ("workers", False),
+        ("experiment_id", "x"),
+    ],
+)
+def test_config_rejects_mistyped_integers(key, value):
+    with pytest.raises(HarnessError, match=f"{key} must be an integer"):
+        ExperimentSpec.from_json_dict(_config(**{key: value}))
+
+
 def test_config_rejects_inconsistent_combinations():
     with pytest.raises(HarnessError, match="event_AB"):
         ExperimentSpec.from_json_dict(_config(metrics=["height", "event_AB"]))
@@ -95,13 +116,15 @@ def test_config_rejects_inconsistent_combinations():
         ExperimentSpec.from_json_dict(_config(metrics=["cover_time", "bound_matrix"]))
 
 
-def test_explicit_start_vertex_forms():
+def test_explicit_start_forms():
     spec = ExperimentSpec.from_json_dict(_config(s_policy={"vertex": 2}))
     assert spec.s_policy == 2
     assert spec.to_json_dict()["s_policy"] == {"vertex": 2}
     bad = ExperimentSpec.from_json_dict(_config(s_policy={"vertex": 99}))
     with pytest.raises(HarnessError, match="out of range"):
         run_experiment(bad)
+    with pytest.raises(HarnessError, match=">= 0"):
+        ExperimentSpec.from_json_dict(_config(s_policy={"vertex": -1}))
 
 
 # -- determinism ----------------------------------------------------------------
@@ -128,6 +151,28 @@ def test_worker_count_does_not_change_output():
     solo, _ = run_experiment(ExperimentSpec.from_json_dict(base))
     multi, _ = run_experiment(ExperimentSpec.from_json_dict(dict(base, workers=3)))
     assert solo == multi
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="a monkeypatched build_family reaches pool workers only under fork",
+)
+def test_workers_reuse_the_parents_graph(tmp_path, monkeypatch):
+    parent = os.getpid()
+    real_build = harness.build_family
+
+    def build_family(*args, **kwargs):
+        # A marker, not an exception: a failing pool initializer is respawned
+        # forever.
+        if os.getpid() != parent:
+            (tmp_path / f"built-in-{os.getpid()}").touch()
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "build_family", build_family)
+    spec = ExperimentSpec.from_json_dict(_config(trials=8, workers=2))
+    records, _ = run_experiment(spec)
+    assert [r.trial for r in records] == list(range(8))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_blocks_do_not_change_output():
@@ -293,11 +338,11 @@ def test_lower_bound_experiment_records_events():
     spec = ExperimentSpec.from_json_dict(
         _config(
             family={"kind": "glued_G", "params": {"L": 4, "delta": 2, "a": 8, "m": 4}},
-            metrics=["height"],
+            metrics=["height", "event_AB"],
             trials=200,
         )
     )
-    records, summary = run_lower_bound_experiment(spec)
+    records, summary = run_experiment(spec)
     assert all(r.implication_ok for r in records)
     assert all(r.event_chain_fast is not None for r in records)
     freqs = summary.event_freqs
@@ -310,9 +355,19 @@ def test_lower_bound_experiment_records_events():
 
 
 def test_lower_bound_experiment_rejects_other_families():
-    spec = ExperimentSpec.from_json_dict(_config())
-    with pytest.raises(HarnessError, match="lower-bound"):
-        run_lower_bound_experiment(spec)
+    with pytest.raises(HarnessError, match="only defined for the lower-bound families"):
+        ExperimentSpec(
+            family=FamilySpec("complete", {"n": 4}), metrics=("height", "event_AB")
+        )
+
+
+def test_lower_bound_experiment_rejects_discrete_process():
+    with pytest.raises(HarnessError, match="event_AB needs the weight draw"):
+        ExperimentSpec(
+            family=FamilySpec.from_json_dict(GLUED_TINY),
+            process="discrete",
+            metrics=("height", "event_AB"),
+        )
 
 
 def test_tree_slow_frequency_grows_with_subdivision():
@@ -332,3 +387,18 @@ def test_tree_slow_frequency_grows_with_subdivision():
         _, summary = run_experiment(spec)
         freqs.append(summary.event_freqs["tree_slow"])
     assert freqs[1] > freqs[0]
+
+
+# -- exports -----------------------------------------------------------------------
+
+
+def test_every_exported_name_resolves():
+    for module in (treegrowth, harness):
+        assert [name for name in module.__all__ if not hasattr(module, name)] == []
+        assert len(set(module.__all__)) == len(module.__all__)
+    # What the package re-exports from the harness, the harness exports too.
+    defined_here = {
+        name for name in treegrowth.__all__
+        if getattr(getattr(treegrowth, name), "__module__", None) == harness.__name__
+    }
+    assert defined_here and defined_here <= set(harness.__all__)
