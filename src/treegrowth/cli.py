@@ -173,8 +173,8 @@ def _cmd_expt(args: argparse.Namespace) -> int:
         ExperimentSpec.from_json_dict(doc),
         **{k: v for k, v in overrides.items() if v is not None},
     )
-    outdir = _outdir(args) or Path(".")
     records, summary = run_experiment(spec, max_vertices=args.max_vertices)
+    outdir = _outdir(args) or Path(".")
     write_outputs(outdir, spec, records, summary)
     for v in summary.verdicts:
         flag = "PASS" if v.passed else "FAIL"

@@ -8,6 +8,12 @@ to the chain at one vertex per group.  Construction metadata records
 vertex roles, the transit threshold used by the route-competition events,
 and the declared structural parameters that the bound checks consume.
 
+Each kind has one resolver and one builder, paired in the ``_FAMILIES``
+table.  The resolver is the only code that reads a kind's params: it checks
+their types and ranges and returns the plan (resolved params and vertex
+count), which ``plan_family`` prints and ``build_family`` checks against the
+vertex budget before the builder materializes any edge.
+
 Vertex numbering in the chain families: the chain H occupies ids
 [0, chain_vertex_count); the internal tree vertices and the subdivision
 vertices of I follow.  An edge belongs to H exactly when both endpoints
@@ -25,15 +31,21 @@ from treegrowth.graphs import BudgetExceededError, Graph
 
 E2 = math.e**2
 
-KINDS = (
-    "complete",
-    "grid",
-    "ladder_H",
-    "subdivided_tree_I",
-    "glued_G",
-    "planar_lower_G",
-    "degenerate_lower_G",
-)
+__all__ = [
+    "E2",
+    "KINDS",
+    "ConstructionMeta",
+    "DecompositionReport",
+    "FamilyError",
+    "FamilySpec",
+    "TreeDecomposition",
+    "build_family",
+    "build_tree_decomposition_degenerate",
+    "h_edge_mask",
+    "i_edge_mask",
+    "plan_family",
+    "verify_tree_decomposition",
+]
 
 
 class FamilyError(ValueError):
@@ -47,6 +59,8 @@ class FamilySpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FamilySpec":
+        if not isinstance(d, dict):
+            raise FamilyError(f"family spec must be a JSON object, got {d!r}")
         if set(d) != {"kind", "params"}:
             raise FamilyError(f"family spec needs exactly kind and params, got {sorted(d)}")
         if d["kind"] not in KINDS:
@@ -126,13 +140,22 @@ def _require_pow2(L: int) -> None:
 
 
 def _as_int(params: dict, key: str, minimum: int = 1) -> int:
-    try:
-        v = int(params[key])
-    except (KeyError, TypeError, ValueError):
-        raise FamilyError(f"missing or non-integer parameter {key!r}") from None
+    """params[key], which must be an int (not a bool) of at least minimum."""
+    if key not in params:
+        raise FamilyError(f"missing parameter {key!r}")
+    v = params[key]
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise FamilyError(f"parameter {key!r} must be an integer, got {v!r}")
     if v < minimum:
         raise FamilyError(f"parameter {key!r} must be >= {minimum}, got {v}")
     return v
+
+
+def _exact_ints(kind: str, params: dict, **minimum: int) -> list[int]:
+    """The params of a simple kind: exactly the named integers, in that order."""
+    if set(params) != set(minimum):
+        raise FamilyError(f"{kind} takes params {sorted(minimum)}, got {sorted(params)}")
+    return [_as_int(params, key, low) for key, low in minimum.items()]
 
 
 def _bipartite(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -162,18 +185,167 @@ def _subdivided_tree_edges(
     return edges
 
 
-# -- simple families ---------------------------------------------------------------
+# -- resolvers: raw params -> plan -----------------------------------------------------
+#
+# A resolver is the only code that reads, type-checks and range-checks a
+# kind's params.  It returns the plan: the resolved params, which the
+# builder and ConstructionMeta.params use, and the vertex count, which the
+# build budget checks before any edge exists.
 
 
-def gen_complete(n: int) -> tuple[Graph, ConstructionMeta]:
-    if n < 1:
-        raise FamilyError("complete graph needs n >= 1")
+def _resolve_complete(p: dict) -> dict:
+    (n,) = _exact_ints("complete", p, n=1)
+    return {"params": {"n": n}, "n_vertices": n}
+
+
+def _resolve_grid(p: dict) -> dict:
+    d, k = _exact_ints("grid", p, d=1, k=1)
+    return {"params": {"d": d, "k": k}, "n_vertices": (k + 1) ** d}
+
+
+def _resolve_ladder(p: dict) -> dict:
+    L, delta = _exact_ints("ladder_H", p, L=1, delta=1)
+    if L == 1 and delta != 1:
+        raise FamilyError("a one-group ladder is connected only for delta = 1")
+    return {"params": {"L": L, "delta": delta}, "n_vertices": L * delta}
+
+
+def _resolve_subdivided_tree(p: dict) -> dict:
+    L, m = _exact_ints("subdivided_tree_I", p, L=1, m=1)
+    _require_pow2(L)
+    return {"params": {"L": L, "m": m}, "n_vertices": 2 * L - 1 + L * (m - 1)}
+
+
+def _chain_params(
+    kind: str, params: dict, a: float, formula, min_degree: int,
+    floor: tuple[float, str], with_d: bool = False,
+) -> dict:
+    """The mode, L, delta, a (and d, and m when given) of a chain kind.
+
+    Formula mode takes exactly max_degree and diameter (and d when with_d).
+    ``formula(max_degree, diameter, d)`` gives delta and the bound below
+    which L is the largest power of two; the diameter must reach
+    ``floor = (c, text)`` times ln(max_degree), and a is the kind's constant.
+    Override mode takes L and delta (and d) plus optional a, whose default
+    is the same constant, and m.
+    """
+    d_key = {"d"} if with_d else set()
+    if set(params) == {"max_degree", "diameter"} | d_key:
+        max_degree = _as_int(params, "max_degree", min_degree)
+        diameter = _as_int(params, "diameter")
+        d = _as_int(params, "d") if with_d else None
+        delta, length = formula(max_degree, diameter, d)
+        coeff, text = floor
+        floor_d = coeff * math.log(max_degree)
+        if diameter < floor_d:
+            raise FamilyError(
+                f"{kind} formula mode needs diameter >= {text} ln(max_degree)"
+                f" = {floor_d:.1f}, got {diameter}"
+            )
+        L = _pow2_floor(length)
+        if L < 2:
+            raise FamilyError(
+                f"diameter {diameter} only fits a chain of length {L}; increase it"
+            )
+        out = {
+            "mode": "formula",
+            "L": L,
+            "delta": delta,
+            **({"d": d} if with_d else {}),
+            "a": a,
+            "max_degree_requested": max_degree,
+            "diameter_requested": diameter,
+        }
+    else:
+        required = {"L", "delta"} | d_key
+        if not required <= set(params) <= required | {"a", "m"}:
+            raise FamilyError(
+                f"{kind} override mode takes {sorted(required)} plus optional ['a', 'm'],"
+                f" got {sorted(params)}"
+            )
+        L = _as_int(params, "L")
+        _require_pow2(L)
+        out = {"mode": "override", "L": L, "delta": _as_int(params, "delta")}
+        a = params.get("a", a)
+        if isinstance(a, bool) or not isinstance(a, (int, float)) or not E2 < a < math.inf:
+            raise FamilyError(
+                f"route-competition constant a must be a finite number above e^2, got {a!r}"
+            )
+        out["a"] = float(a)
+        if with_d:
+            out["d"] = _as_int(params, "d")
+        if "m" in params:
+            out["m"] = _as_int(params, "m")
+    if with_d and out["d"] > out["delta"]:
+        raise FamilyError(
+            f"need d <= delta for the declared degeneracy, got d={out['d']} delta={out['delta']}"
+        )
+    return out
+
+
+def _chain_plan(r: dict, n_h: int) -> dict:
+    """Plan of a chain kind whose chain H has n_h vertices; the tree I adds
+    L - 1 internal vertices and m - 1 subdivision vertices per leaf."""
+    L, m = r["L"], r["m"]
+    return {"params": r, "n_vertices": n_h + (L - 1) + L * (m - 1), "chain_vertex_count": n_h}
+
+
+def _resolve_glued(p: dict) -> dict:
+    a = 4 * E2
+    r = _chain_params(
+        "glued_G", p, a,
+        lambda max_degree, diameter, d: ((max_degree - 1) // 2, diameter * max_degree / (8 * a)),
+        min_degree=3, floor=(16 * math.e**3, "16 e^3"),
+    )
+    L, delta = r["L"], r["delta"]
+    r.setdefault("m", _ceil(r["a"] * L / delta))
+    r["theta"] = 2 * r["a"] * L / (E2 * delta)
+    return _chain_plan(r, L * delta)
+
+
+def _resolve_planar(p: dict) -> dict:
+    a = E2 * 1e5
+    r = _chain_params(
+        "planar_lower_G", p, a,
+        lambda max_degree, diameter, d: (
+            max_degree // 2, diameter * math.sqrt(max_degree // 2) / (3 * a)
+        ),
+        min_degree=2, floor=(1e6, "1e6"),
+    )
+    L, delta = r["L"], r["delta"]
+    root = math.sqrt(delta)
+    r.setdefault("m", _ceil(r["a"] * L / root))
+    r["theta"] = r["a"] * L / (E2 * root)
+    return _chain_plan(r, L * delta + (L - 1))
+
+
+def _resolve_degenerate(p: dict) -> dict:
+    a = E2 * 1e5
+    r = _chain_params(
+        "degenerate_lower_G", p, a,
+        lambda max_degree, diameter, d: (
+            max_degree // 2, diameter * math.sqrt(d * max_degree) / (8 * a)
+        ),
+        min_degree=2, floor=(1e6, "1e6"), with_d=True,
+    )
+    L, delta, d = r["L"], r["delta"], r["d"]
+    root = math.sqrt(d * delta)
+    r.setdefault("m", _ceil(r["a"] * L / root))
+    r["theta"] = r["a"] * L / (E2 * root)
+    return _chain_plan(r, L * delta + (L - 1) * d)
+
+
+# -- builders: plan -> (graph, metadata) -------------------------------------------------
+
+
+def _build_complete(plan: dict) -> tuple[Graph, ConstructionMeta]:
+    n = plan["n_vertices"]
     iu, iv = np.triu_indices(n, 1)
     g = Graph(n, np.stack([iu, iv], axis=1))
     genus = _ceil((n - 3) * (n - 4) / 12) if n >= 3 else 0
     meta = ConstructionMeta(
         kind="complete",
-        params={"n": n},
+        params=plan["params"],
         declared_max_degree=n - 1,
         declared_diameter_bound=1 if n > 1 else 0,
         declared_degeneracy=n - 1,
@@ -182,15 +354,14 @@ def gen_complete(n: int) -> tuple[Graph, ConstructionMeta]:
     return g, meta
 
 
-def gen_grid(d: int, k: int) -> tuple[Graph, ConstructionMeta]:
+def _build_grid(plan: dict) -> tuple[Graph, ConstructionMeta]:
     """d-dimensional grid on {0..k}**d (n = (k+1)**d), adjacency at L1 distance 1.
 
     k = 1 gives the d-cube.  Vertex x has id sum(x_i * (k+1)**i).
     """
-    if d < 1 or k < 1:
-        raise FamilyError("grid needs d >= 1 and k >= 1")
+    d, k = plan["params"]["d"], plan["params"]["k"]
     side = k + 1
-    n = side**d
+    n = plan["n_vertices"]
     coords = np.arange(n, dtype=np.int64)
     blocks = []
     for axis in range(d):
@@ -204,7 +375,7 @@ def gen_grid(d: int, k: int) -> tuple[Graph, ConstructionMeta]:
     genus = 0 if (d <= 2 or (k == 1 and d <= 3)) else None
     meta = ConstructionMeta(
         kind="grid",
-        params={"d": d, "k": k},
+        params=plan["params"],
         declared_max_degree=max_deg,
         declared_diameter_bound=d * k,
         declared_degeneracy=d,
@@ -214,55 +385,48 @@ def gen_grid(d: int, k: int) -> tuple[Graph, ConstructionMeta]:
     return g, meta
 
 
-# -- chain families ------------------------------------------------------------------
+def _ladder(L: int, delta: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Groups of a chain of L groups of delta vertices, and the edge blocks
+    that fully join consecutive groups."""
+    groups = [np.arange(i * delta, (i + 1) * delta, dtype=np.int64) for i in range(L)]
+    return groups, [_bipartite(groups[i], groups[i + 1]) for i in range(L - 1)]
 
 
-def _ladder_groups(L: int, delta: int) -> list[np.ndarray]:
-    return [np.arange(i * delta, (i + 1) * delta, dtype=np.int64) for i in range(L)]
-
-
-def gen_ladder(L: int, delta: int) -> tuple[Graph, ConstructionMeta]:
+def _build_ladder(plan: dict) -> tuple[Graph, ConstructionMeta]:
     """Chain of L groups of delta vertices, consecutive groups fully joined."""
-    if L < 1 or delta < 1:
-        raise FamilyError("ladder needs L >= 1 and delta >= 1")
-    if L == 1 and delta != 1:
-        raise FamilyError("a one-group ladder is connected only for delta = 1")
-    groups = _ladder_groups(L, delta)
-    blocks = [_bipartite(groups[i], groups[i + 1]) for i in range(L - 1)]
+    L, delta = plan["params"]["L"], plan["params"]["delta"]
+    groups, blocks = _ladder(L, delta)
     edges = np.concatenate(blocks) if blocks else np.zeros((0, 2), np.int64)
-    g = Graph(L * delta, edges)
+    g = Graph(plan["n_vertices"], edges)
     max_deg = 0 if L == 1 else (delta if L == 2 else 2 * delta)
     meta = ConstructionMeta(
         kind="ladder_H",
-        params={"L": L, "delta": delta},
+        params=plan["params"],
         declared_max_degree=max_deg,
         declared_diameter_bound=L - 1 if L > 1 else 0,
         declared_degeneracy=0 if L == 1 else delta,
         declared_genus=0 if delta <= 2 else None,
         target_vertex=(L - 1) * delta,
         main_groups=tuple(tuple(int(v) for v in grp) for grp in groups),
-        chain_vertex_count=L * delta,
+        chain_vertex_count=plan["n_vertices"],
     )
     return g, meta
 
 
-def gen_subdivided_tree(L: int, m: int) -> tuple[Graph, ConstructionMeta]:
+def _build_subdivided_tree(plan: dict) -> tuple[Graph, ConstructionMeta]:
     """Perfect binary tree with L leaves; leaf edges become m-edge paths.
 
     Internal vertices are 0..L-2 in heap order, leaves are L-1..2L-2,
     subdivision vertices follow.
     """
-    _require_pow2(L)
-    if m < 1:
-        raise FamilyError("subdivision length m must be >= 1")
+    L, m = plan["params"]["L"], plan["params"]["m"]
     leaves = [L - 1 + j for j in range(L)]
     edges = _subdivided_tree_edges(L, m, leaves, internal_base=0, subdiv_base=2 * L - 1)
-    n = 2 * L - 1 + L * (m - 1)
-    g = Graph(n, edges)
+    g = Graph(plan["n_vertices"], edges)
     depth = m + int(math.log2(L)) - 1
     meta = ConstructionMeta(
         kind="subdivided_tree_I",
-        params={"L": L, "m": m},
+        params=plan["params"],
         declared_max_degree=3 if L >= 4 else 2,
         declared_diameter_bound=2 * depth,
         declared_degeneracy=1,
@@ -275,177 +439,29 @@ def gen_subdivided_tree(L: int, m: int) -> tuple[Graph, ConstructionMeta]:
     return g, meta
 
 
-# -- lower-bound constructions: parameter resolution -----------------------------------
-
-
-def _resolve_override(params: dict, kind: str, default_a: float, with_d: bool) -> dict:
-    required = {"L", "delta"} | ({"d"} if with_d else set())
-    allowed = required | {"a", "m"}
-    if not required <= set(params) or not set(params) <= allowed:
-        raise FamilyError(
-            f"{kind} override mode takes {sorted(required)} plus optional ['a', 'm'],"
-            f" got {sorted(params)}"
-        )
-    L = _as_int(params, "L")
-    _require_pow2(L)
-    delta = _as_int(params, "delta")
-    a = float(params.get("a", default_a))
-    if not a > E2:
-        raise FamilyError(f"route-competition constant a must exceed e^2, got {a:g}")
-    out = {"mode": "override", "L": L, "delta": delta, "a": a}
-    if with_d:
-        d = _as_int(params, "d")
-        if d > delta:
-            raise FamilyError(f"need d <= delta for the declared degeneracy, got d={d} delta={delta}")
-        out["d"] = d
-    if "m" in params:
-        out["m"] = _as_int(params, "m")
-    return out
-
-
-def _resolve_glued(params: dict) -> dict:
-    keys = set(params)
-    if keys == {"max_degree", "diameter"}:
-        max_degree = _as_int(params, "max_degree", 3)
-        diameter = _as_int(params, "diameter")
-        floor_d = 16 * math.e**3 * math.log(max_degree)
-        if diameter < floor_d:
-            raise FamilyError(
-                f"glued_G formula mode needs diameter >= 16 e^3 ln(max_degree)"
-                f" = {floor_d:.1f}, got {diameter}"
-            )
-        a = 4 * E2
-        delta = (max_degree - 1) // 2
-        L = _pow2_floor(diameter * max_degree / (8 * a))
-        if L < 2:
-            raise FamilyError(
-                f"diameter {diameter} only fits a chain of length {L}; increase it"
-            )
-        out = {
-            "mode": "formula",
-            "L": L,
-            "delta": delta,
-            "a": a,
-            "max_degree_requested": max_degree,
-            "diameter_requested": diameter,
-        }
-    else:
-        out = _resolve_override(params, "glued_G", 4 * E2, with_d=False)
-    out.setdefault("m", _ceil(out["a"] * out["L"] / out["delta"]))
-    out["theta"] = 2 * out["a"] * out["L"] / (E2 * out["delta"])
-    return out
-
-
-def _resolve_planar(params: dict) -> dict:
-    keys = set(params)
-    if keys == {"max_degree", "diameter"}:
-        max_degree = _as_int(params, "max_degree", 2)
-        diameter = _as_int(params, "diameter")
-        floor_d = 1e6 * math.log(max_degree)
-        if diameter < floor_d:
-            raise FamilyError(
-                f"planar_lower_G formula mode needs diameter >= 1e6 ln(max_degree)"
-                f" = {floor_d:.1f}, got {diameter}"
-            )
-        a = E2 * 1e5
-        delta = max_degree // 2
-        L = _pow2_floor(diameter * math.sqrt(delta) / (3 * a))
-        if L < 2:
-            raise FamilyError(
-                f"diameter {diameter} only fits a chain of length {L}; increase it"
-            )
-        out = {
-            "mode": "formula",
-            "L": L,
-            "delta": delta,
-            "a": a,
-            "max_degree_requested": max_degree,
-            "diameter_requested": diameter,
-        }
-    else:
-        out = _resolve_override(params, "planar_lower_G", E2 * 1e5, with_d=False)
-    root = math.sqrt(out["delta"])
-    out.setdefault("m", _ceil(out["a"] * out["L"] / root))
-    out["theta"] = out["a"] * out["L"] / (E2 * root)
-    return out
-
-
-def _resolve_degenerate(params: dict) -> dict:
-    keys = set(params)
-    if keys == {"max_degree", "diameter", "d"}:
-        max_degree = _as_int(params, "max_degree", 2)
-        diameter = _as_int(params, "diameter")
-        d = _as_int(params, "d")
-        delta = max_degree // 2
-        if d > delta:
-            raise FamilyError(f"need d <= max_degree // 2, got d={d}")
-        floor_d = 1e6 * math.log(max_degree)
-        if diameter < floor_d:
-            raise FamilyError(
-                f"degenerate_lower_G formula mode needs diameter >= 1e6 ln(max_degree)"
-                f" = {floor_d:.1f}, got {diameter}"
-            )
-        a = E2 * 1e5
-        L = _pow2_floor(diameter * math.sqrt(d * max_degree) / (8 * a))
-        if L < 2:
-            raise FamilyError(
-                f"diameter {diameter} only fits a chain of length {L}; increase it"
-            )
-        out = {
-            "mode": "formula",
-            "L": L,
-            "delta": delta,
-            "d": d,
-            "a": a,
-            "max_degree_requested": max_degree,
-            "diameter_requested": diameter,
-        }
-    else:
-        out = _resolve_override(params, "degenerate_lower_G", E2 * 1e5, with_d=True)
-    root = math.sqrt(out["d"] * out["delta"])
-    out.setdefault("m", _ceil(out["a"] * out["L"] / root))
-    out["theta"] = out["a"] * out["L"] / (E2 * root)
-    return out
-
-
-def _chain_sizes(kind: str, r: dict) -> tuple[int, int]:
-    """(chain vertex count, total vertex count) for resolved parameters."""
-    L, delta, m = r["L"], r["delta"], r["m"]
-    if kind == "glued_G":
-        n_h = L * delta
-    elif kind == "planar_lower_G":
-        n_h = L * delta + (L - 1)
-    else:
-        n_h = L * delta + (L - 1) * r["d"]
-    return n_h, n_h + (L - 1) + L * (m - 1)
-
-
-# -- lower-bound constructions: builders ------------------------------------------------
-
-
 def _finish_chain(
-    kind: str,
-    r: dict,
+    plan: dict,
     h_blocks: list[np.ndarray],
     groups: list[np.ndarray],
     small_groups,
-    n_h: int,
     declared_max_degree: int,
     declared_degeneracy: int,
     declared_genus,
     height_target: int,
 ) -> tuple[Graph, ConstructionMeta]:
+    """Glue the tree I to the chain H, whose edges are h_blocks, at the
+    first vertex of each group."""
+    r, n_h = plan["params"], plan["chain_vertex_count"]
     L, m = r["L"], r["m"]
     leaf_ids = [int(grp[0]) for grp in groups]
     tree_edges = _subdivided_tree_edges(
         L, m, leaf_ids, internal_base=n_h, subdiv_base=n_h + L - 1
     )
-    n = n_h + (L - 1) + L * (m - 1)
     edges = np.concatenate(h_blocks + [np.asarray(tree_edges, dtype=np.int64)])
-    g = Graph(n, edges)
+    g = Graph(plan["n_vertices"], edges)
     meta = ConstructionMeta(
-        kind=kind,
-        params=dict(r),
+        kind=plan["kind"],
+        params=r,
         declared_max_degree=declared_max_degree,
         declared_diameter_bound=2 * (m + int(math.log2(L)) + 1),
         declared_degeneracy=declared_degeneracy,
@@ -464,21 +480,17 @@ def _finish_chain(
     return g, meta
 
 
-def gen_glued(params: dict) -> tuple[Graph, ConstructionMeta]:
+def _build_glued(plan: dict) -> tuple[Graph, ConstructionMeta]:
     """Ladder chain glued to a subdivided tree at the lowest vertex of each group."""
-    r = _resolve_glued(params)
-    L, delta = r["L"], r["delta"]
-    groups = _ladder_groups(L, delta)
-    h_blocks = [_bipartite(groups[i], groups[i + 1]) for i in range(L - 1)]
+    L, delta = plan["params"]["L"], plan["params"]["delta"]
+    groups, h_blocks = _ladder(L, delta)
     ladder_deg = delta if L == 2 else 2 * delta
     tree_deg = 3 if L >= 4 else 2
     return _finish_chain(
-        "glued_G",
-        r,
+        plan,
         h_blocks,
         groups,
         None,
-        L * delta,
         declared_max_degree=max(ladder_deg + 1, tree_deg),
         declared_degeneracy=delta + 1,
         # The bare ladder stays planar up to delta = 2, but gluing the tree
@@ -488,14 +500,13 @@ def gen_glued(params: dict) -> tuple[Graph, ConstructionMeta]:
     )
 
 
-def gen_planar_lower(params: dict) -> tuple[Graph, ConstructionMeta]:
+def _build_planar_lower(plan: dict) -> tuple[Graph, ConstructionMeta]:
     """Chain of independent groups joined by single connector vertices.
 
     Group i occupies [i*(delta+1), i*(delta+1)+delta); connector i sits at
     i*(delta+1)+delta and is joined to all of groups i and i+1.
     """
-    r = _resolve_planar(params)
-    L, delta = r["L"], r["delta"]
+    L, delta = plan["params"]["L"], plan["params"]["delta"]
     groups = [
         np.arange(i * (delta + 1), i * (delta + 1) + delta, dtype=np.int64)
         for i in range(L)
@@ -509,12 +520,10 @@ def gen_planar_lower(params: dict) -> tuple[Graph, ConstructionMeta]:
     group_deg = (2 if L >= 3 else 1) + 1
     tree_deg = 3 if L >= 4 else 2
     return _finish_chain(
-        "planar_lower_G",
-        r,
+        plan,
         h_blocks,
         groups,
         tuple((c,) for c in connectors),
-        L * delta + (L - 1),
         declared_max_degree=max(2 * delta, group_deg, tree_deg),
         declared_degeneracy=3,
         declared_genus=0,
@@ -522,14 +531,14 @@ def gen_planar_lower(params: dict) -> tuple[Graph, ConstructionMeta]:
     )
 
 
-def gen_degenerate_lower(params: dict) -> tuple[Graph, ConstructionMeta]:
+def _build_degenerate_lower(plan: dict) -> tuple[Graph, ConstructionMeta]:
     """Chain alternating groups of delta vertices with groups of d vertices,
     consecutive groups fully joined.
 
     Block i holds group i at [i*(delta+d), i*(delta+d)+delta) and small
     group i right after it.
     """
-    r = _resolve_degenerate(params)
+    r = plan["params"]
     L, delta, d = r["L"], r["delta"], r["d"]
     block = delta + d
     groups = [np.arange(i * block, i * block + delta, dtype=np.int64) for i in range(L)]
@@ -544,12 +553,10 @@ def gen_degenerate_lower(params: dict) -> tuple[Graph, ConstructionMeta]:
     group_deg = (2 * d if L >= 3 else d) + 1
     tree_deg = 3 if L >= 4 else 2
     return _finish_chain(
-        "degenerate_lower_G",
-        r,
+        plan,
         h_blocks,
         groups,
         tuple(tuple(int(v) for v in s) for s in smalls),
-        L * delta + (L - 1) * d,
         declared_max_degree=max(2 * delta, group_deg, tree_deg),
         declared_degeneracy=2 * d,
         declared_genus=None,
@@ -557,63 +564,49 @@ def gen_degenerate_lower(params: dict) -> tuple[Graph, ConstructionMeta]:
     )
 
 
-# -- dispatch -------------------------------------------------------------------------
+# -- the family table ---------------------------------------------------------------------
+
+
+_FAMILIES = {
+    "complete": (_resolve_complete, _build_complete),
+    "grid": (_resolve_grid, _build_grid),
+    "ladder_H": (_resolve_ladder, _build_ladder),
+    "subdivided_tree_I": (_resolve_subdivided_tree, _build_subdivided_tree),
+    "glued_G": (_resolve_glued, _build_glued),
+    "planar_lower_G": (_resolve_planar, _build_planar_lower),
+    "degenerate_lower_G": (_resolve_degenerate, _build_degenerate_lower),
+}
+KINDS = tuple(_FAMILIES)
+
+
+def _plan(spec: FamilySpec):
+    """The plan of spec and the builder of its kind."""
+    if spec.kind not in _FAMILIES:
+        raise FamilyError(f"unknown family kind {spec.kind!r}")
+    resolve, build = _FAMILIES[spec.kind]
+    try:
+        return {"kind": spec.kind, **resolve(spec.params)}, build
+    except OverflowError as exc:
+        raise FamilyError(f"{spec.kind} params are out of range: {exc}") from None
 
 
 def plan_family(spec: FamilySpec) -> dict:
     """Resolved parameters and the vertex count, without materializing edges."""
-    kind, p = spec.kind, spec.params
-    if kind == "complete":
-        n = _as_int(p, "n")
-        return {"kind": kind, "params": {"n": n}, "n_vertices": n}
-    if kind == "grid":
-        d, k = _as_int(p, "d"), _as_int(p, "k")
-        return {"kind": kind, "params": {"d": d, "k": k}, "n_vertices": (k + 1) ** d}
-    if kind == "ladder_H":
-        L, delta = _as_int(p, "L"), _as_int(p, "delta")
-        if L == 1 and delta != 1:
-            raise FamilyError("a one-group ladder is connected only for delta = 1")
-        return {"kind": kind, "params": {"L": L, "delta": delta}, "n_vertices": L * delta}
-    if kind == "subdivided_tree_I":
-        L, m = _as_int(p, "L"), _as_int(p, "m")
-        _require_pow2(L)
-        return {"kind": kind, "params": {"L": L, "m": m}, "n_vertices": 2 * L - 1 + L * (m - 1)}
-    resolver = {
-        "glued_G": _resolve_glued,
-        "planar_lower_G": _resolve_planar,
-        "degenerate_lower_G": _resolve_degenerate,
-    }.get(kind)
-    if resolver is None:
-        raise FamilyError(f"unknown family kind {kind!r}")
-    r = resolver(p)
-    n_h, n = _chain_sizes(kind, r)
-    return {"kind": kind, "params": r, "n_vertices": n, "chain_vertex_count": n_h}
+    return _plan(spec)[0]
 
 
 def build_family(
     spec: FamilySpec, max_vertices: int = 1 << 20
 ) -> tuple[Graph, ConstructionMeta]:
-    plan = plan_family(spec)
+    """Resolve spec once, check the vertex budget, build, and cross-check
+    the declared max degree against the realized graph."""
+    plan, build = _plan(spec)
     if plan["n_vertices"] > max_vertices:
         raise BudgetExceededError(
             f"{spec.kind} instance would have {plan['n_vertices']} vertices"
             f" (limit {max_vertices})"
         )
-    p = spec.params
-    if spec.kind == "complete":
-        g, meta = gen_complete(_as_int(p, "n"))
-    elif spec.kind == "grid":
-        g, meta = gen_grid(_as_int(p, "d"), _as_int(p, "k"))
-    elif spec.kind == "ladder_H":
-        g, meta = gen_ladder(_as_int(p, "L"), _as_int(p, "delta"))
-    elif spec.kind == "subdivided_tree_I":
-        g, meta = gen_subdivided_tree(_as_int(p, "L"), _as_int(p, "m"))
-    elif spec.kind == "glued_G":
-        g, meta = gen_glued(p)
-    elif spec.kind == "planar_lower_G":
-        g, meta = gen_planar_lower(p)
-    else:
-        g, meta = gen_degenerate_lower(p)
+    g, meta = build(plan)
     if g.max_degree != meta.declared_max_degree:
         raise FamilyError(
             f"internal error: realized max degree {g.max_degree} does not match"

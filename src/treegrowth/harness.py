@@ -148,7 +148,7 @@ class ExperimentSpec:
         unknown = keys - required - optional
         if unknown:
             raise HarnessError(f"unknown config keys: {sorted(unknown)}")
-        if doc["version"] != 1:
+        if type(doc["version"]) is not int or doc["version"] != 1:
             raise HarnessError(f"unsupported config version {doc['version']!r}")
         family = FamilySpec.from_json_dict(doc["family"])
         s_policy = doc["s_policy"]

@@ -68,8 +68,16 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["gen", "--family", "grid", "--d", "9", "--k", "9"]) == 2  # budget
     for s in ("-1", "99"):  # the start vertex must lie in [0, n)
         assert main(["grow", "--family", "complete", "--n", "4", "--s", s]) == 2
+    assert main(["gen", "--family", "complete", "--n", "4", "--L", "7"]) == 2
+    assert main(["gen", "--family", "glued_G", "--L", "4", "--delta", "1", "--a", "inf"]) == 2
     out = tmp_path / "out"
-    for key, value in (("master_seed", "7"), ("trials", True)):
+    for key, value in (
+        ("master_seed", "7"),
+        ("trials", True),
+        ("version", True),
+        ("family", 5),
+        ("family", {"kind": "complete", "params": {"n": 4.5}}),
+    ):
         config = _expt_config(tmp_path, **{key: value})
         assert main(["expt", "--config", str(config), "--out", str(out)]) == 2
     assert not out.exists()

@@ -19,7 +19,7 @@ from treegrowth.counting import (
     count_walks_from,
     height_cutoff_plan,
 )
-from treegrowth.families import gen_complete, gen_grid
+from treegrowth.families import FamilySpec, build_family
 from treegrowth.graphs import BudgetExceededError, Graph
 
 from helpers import complete, cycle, path, connected_graphs
@@ -71,7 +71,7 @@ def test_counts_symmetric_under_vertex_transitivity():
     c6 = cycle(6)
     counts = {count_simple_paths_from(c6, s, 4) for s in range(6)}
     assert len(counts) == 1
-    cube, _ = gen_grid(3, 1)
+    cube, _ = build_family(FamilySpec("grid", {"d": 3, "k": 1}))
     counts = {count_simple_paths_from(cube, s, 5) for s in range(cube.n)}
     assert len(counts) == 1
 
@@ -119,7 +119,8 @@ def test_walk_bound_exhaustive_on_trees():
 
 
 def test_genus_bound_on_planar_instances():
-    for g, genus in [(cycle(6), 0), (gen_grid(2, 2)[0], 0), (complete(4), 0)]:
+    grid, _ = build_family(FamilySpec("grid", {"d": 2, "k": 2}))
+    for g, genus in [(cycle(6), 0), (grid, 0), (complete(4), 0)]:
         delta = max(g.max_degree, 6)
         for length in range(9):
             total = sum(count_simple_paths_from(g, s, length) for s in range(g.n))
@@ -162,7 +163,7 @@ def test_height_cutoff_monotone(a1, a2, c1, c2, k1, k2):
 
 
 def test_bound_matrix_k2_rows():
-    g, meta = gen_complete(2)
+    g, meta = build_family(FamilySpec("complete", {"n": 2}))
     rows = {r.check_id: r for r in bound_matrix(g, meta)}
     K = 4 * math.log(2) + 2
     assert rows["cover_log_diameter"].value == pytest.approx(K)
@@ -176,7 +177,7 @@ def test_bound_matrix_k2_rows():
 
 
 def test_bound_matrix_k16_expansion_row():
-    g, meta = gen_complete(16)
+    g, meta = build_family(FamilySpec("complete", {"n": 16}))
     rows = {r.check_id: r for r in bound_matrix(g, meta)}
     psi = sum(Fraction(1, k * (16 - k)) for k in range(1, 9))
     assert rows["height_expansion"].applicable
@@ -184,7 +185,7 @@ def test_bound_matrix_k16_expansion_row():
 
 
 def test_bound_matrix_genus_row_on_grid():
-    g, meta = gen_grid(2, 2)
+    g, meta = build_family(FamilySpec("grid", {"d": 2, "k": 2}))
     rows = {r.check_id: r for r in bound_matrix(g, meta)}
     K = 4 * math.log(9) + 2 * 4
     assert rows["height_genus"].applicable
@@ -195,12 +196,10 @@ def test_bound_matrix_genus_row_on_grid():
 
 
 def test_bound_matrix_flags_inapplicable_rows():
-    g, meta = gen_complete(32)
+    g, meta = build_family(FamilySpec("complete", {"n": 32}))
     rows = {r.check_id: r for r in bound_matrix(g, meta)}
     assert not rows["height_expansion"].applicable  # exact profile capped at n=16
-    from treegrowth.families import gen_ladder
-
-    lg, lmeta = gen_ladder(3, 3)
+    lg, lmeta = build_family(FamilySpec("ladder_H", {"L": 3, "delta": 3}))
     lrows = {r.check_id: r for r in bound_matrix(lg, lmeta)}
     assert lmeta.declared_genus is None
     assert not lrows["height_genus"].applicable
@@ -210,7 +209,7 @@ def test_bound_matrix_flags_inapplicable_rows():
 
 
 def test_count_report_on_planar_grid():
-    g, meta = gen_grid(2, 2)
+    g, meta = build_family(FamilySpec("grid", {"d": 2, "k": 2}))
     rows = count_report(g, meta, "grid_2_2", s=0, max_length=6)
     kinds = {r.bound_kind for r in rows}
     assert kinds == {"degenerate", "trivial", "genus"}

@@ -6,7 +6,10 @@ diameter, degeneracy) are cross-checked against networkx and the
 measuring code on instances small enough to afford it.
 """
 
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -20,13 +23,6 @@ from treegrowth.families import (
     TreeDecomposition,
     build_family,
     build_tree_decomposition_degenerate,
-    gen_complete,
-    gen_degenerate_lower,
-    gen_glued,
-    gen_grid,
-    gen_ladder,
-    gen_planar_lower,
-    gen_subdivided_tree,
     h_edge_mask,
     i_edge_mask,
     plan_family,
@@ -38,33 +34,37 @@ from treegrowth.graphs import BudgetExceededError
 from helpers import to_networkx
 
 
+def build(kind, **params):
+    return build_family(FamilySpec(kind, params))
+
+
 # -- simple families -------------------------------------------------------
 
 
 def test_complete_meta():
-    g, meta = gen_complete(5)
+    g, meta = build("complete", n=5)
     assert g.n == 5 and g.m == 10
     assert meta.declared_max_degree == 4
     assert meta.declared_degeneracy == 4
     assert meta.declared_genus == 1
-    assert gen_complete(8)[1].declared_genus == 2
-    assert gen_complete(4)[1].declared_genus == 0
+    assert build("complete", n=8)[1].declared_genus == 2
+    assert build("complete", n=4)[1].declared_genus == 0
 
 
 def test_grid_square():
-    g, meta = gen_grid(2, 3)
+    g, meta = build("grid", d=2, k=3)
     assert g.n == 16 and g.m == 24
     assert meta.declared_max_degree == 4
     assert meta.declared_diameter_bound == 6
     assert meta.declared_degeneracy == 2
     assert meta.declared_genus == 0
     assert g.diameter() == 6
-    g2, _ = gen_grid(2, 2)
+    g2, _ = build("grid", d=2, k=2)
     assert g2.n == 9 and g2.m == 12
 
 
 def test_grid_cube():
-    g, meta = gen_grid(3, 1)
+    g, meta = build("grid", d=3, k=1)
     assert g.n == 8 and g.m == 12
     assert meta.declared_max_degree == 3
     assert meta.declared_genus == 0
@@ -72,7 +72,7 @@ def test_grid_cube():
 
 
 def test_grid_path():
-    g, meta = gen_grid(1, 5)
+    g, meta = build("grid", d=1, k=5)
     assert g.edges.tolist() == [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]]
     assert meta.declared_max_degree == 2
 
@@ -81,10 +81,10 @@ def test_grid_path():
 
 
 def test_ladder_sizes():
-    g, meta = gen_ladder(2, 3)
+    g, meta = build("ladder_H", L=2, delta=3)
     assert (g.n, g.m) == (6, 9)
     assert meta.declared_max_degree == 3
-    g, meta = gen_ladder(3, 2)
+    g, meta = build("ladder_H", L=3, delta=2)
     assert (g.n, g.m) == (6, 8)
     assert meta.declared_max_degree == 4
     assert meta.main_groups == ((0, 1), (2, 3), (4, 5))
@@ -92,31 +92,31 @@ def test_ladder_sizes():
 
 
 def test_ladder_of_width_one_is_path():
-    g, meta = gen_ladder(4, 1)
+    g, meta = build("ladder_H", L=4, delta=1)
     assert g.edges.tolist() == [[0, 1], [1, 2], [2, 3]]
     assert meta.declared_diameter_bound == 3
 
 
 def test_ladder_rejects_disconnected():
     with pytest.raises(FamilyError):
-        gen_ladder(1, 3)
+        build("ladder_H", L=1, delta=3)
 
 
 def test_subdivided_tree_smallest():
-    g, meta = gen_subdivided_tree(2, 1)
+    g, meta = build("subdivided_tree_I", L=2, m=1)
     assert g.edges.tolist() == [[0, 1], [0, 2]]
     assert meta.leaf_vertices == (1, 2)
     assert meta.height_target == 1
 
 
 def test_subdivided_tree_heap_layout():
-    g, meta = gen_subdivided_tree(4, 1)
+    g, meta = build("subdivided_tree_I", L=4, m=1)
     assert g.n == 7
     assert g.edges.tolist() == [[0, 1], [0, 2], [1, 3], [1, 4], [2, 5], [2, 6]]
 
 
 def test_subdivided_tree_with_paths():
-    g, meta = gen_subdivided_tree(4, 2)
+    g, meta = build("subdivided_tree_I", L=4, m=2)
     assert g.n == 11
     assert meta.declared_max_degree == 3
     assert meta.declared_diameter_bound == 6
@@ -128,7 +128,7 @@ def test_subdivided_tree_with_paths():
 
 
 def test_glued_formula_mode_resolution():
-    g, meta = gen_glued({"max_degree": 5, "diameter": 518})
+    g, meta = build("glued_G", max_degree=5, diameter=518)
     p = meta.params
     assert p["mode"] == "formula"
     assert p["delta"] == 2
@@ -142,11 +142,11 @@ def test_glued_formula_mode_resolution():
 
 def test_glued_formula_hypothesis_enforced():
     with pytest.raises(FamilyError, match="16 e\\^3"):
-        gen_glued({"max_degree": 5, "diameter": 517})
+        build("glued_G", max_degree=5, diameter=517)
 
 
 def test_glued_override_small():
-    g, meta = gen_glued({"L": 4, "delta": 1, "a": 8.0})
+    g, meta = build("glued_G", L=4, delta=1, a=8.0)
     p = meta.params
     assert p["m"] == 32
     assert p["theta"] == pytest.approx(64 / E2)
@@ -163,7 +163,7 @@ def test_glued_override_small():
 
 
 def test_glued_edge_split_counts():
-    g, meta = gen_glued({"L": 8, "delta": 3, "a": 8.0, "m": 4})
+    g, meta = build("glued_G", L=8, delta=3, a=8.0, m=4)
     L, delta, m = 8, 3, 4
     assert int(h_edge_mask(g, meta).sum()) == (L - 1) * delta**2
     assert int(i_edge_mask(g, meta).sum()) == L * m + L - 2
@@ -174,11 +174,11 @@ def test_glued_edge_split_counts():
 
 
 def test_glued_respects_declared_bounds():
-    g, meta = gen_glued({"L": 8, "delta": 2, "a": 8.0})
+    g, meta = build("glued_G", L=8, delta=2, a=8.0)
     assert g.diameter() <= meta.declared_diameter_bound
     assert g.degeneracy_ordering().degeneracy <= meta.declared_degeneracy
     assert meta.declared_genus is None  # gluing breaks planarity at delta = 2
-    g1, meta1 = gen_glued({"L": 8, "delta": 1, "a": 8.0, "m": 2})
+    g1, meta1 = build("glued_G", L=8, delta=1, a=8.0, m=2)
     assert meta1.declared_genus == 0
     assert nx.check_planarity(to_networkx(g1))[0]
 
@@ -187,7 +187,7 @@ def test_glued_respects_declared_bounds():
 
 
 def test_planar_lower_layout():
-    g, meta = gen_planar_lower({"L": 4, "delta": 4, "a": 2 * E2})
+    g, meta = build("planar_lower_G", L=4, delta=4, a=2 * E2)
     p = meta.params
     assert meta.chain_vertex_count == 19
     assert p["m"] == 30
@@ -203,7 +203,7 @@ def test_planar_lower_layout():
 
 
 def test_planar_lower_is_planar():
-    g, meta = gen_planar_lower({"L": 8, "delta": 3, "a": 8.0, "m": 2})
+    g, meta = build("planar_lower_G", L=8, delta=3, a=8.0, m=2)
     assert meta.declared_genus == 0
     assert nx.check_planarity(to_networkx(g))[0]
     assert g.degeneracy_ordering().degeneracy <= meta.declared_degeneracy == 3
@@ -212,7 +212,7 @@ def test_planar_lower_is_planar():
 
 def test_planar_formula_hypothesis_enforced():
     with pytest.raises(FamilyError, match="1e6"):
-        gen_planar_lower({"max_degree": 8, "diameter": 1000})
+        build("planar_lower_G", max_degree=8, diameter=1000)
 
 
 def test_planar_formula_mode_plan():
@@ -229,14 +229,14 @@ def test_planar_formula_mode_plan():
 def test_formula_mode_rejects_short_chain():
     # Hypothesis on the diameter holds but the resolved chain length is 1.
     with pytest.raises(FamilyError, match="chain of length"):
-        gen_planar_lower({"max_degree": 8, "diameter": int(1e6 * math.log(8)) + 1})
+        build("planar_lower_G", max_degree=8, diameter=int(1e6 * math.log(8)) + 1)
 
 
 # -- degenerate lower-bound construction ------------------------------------------------
 
 
 def test_degenerate_lower_layout():
-    g, meta = gen_degenerate_lower({"L": 2, "delta": 3, "d": 2, "m": 1})
+    g, meta = build("degenerate_lower_G", L=2, delta=3, d=2, m=1)
     assert meta.chain_vertex_count == 8
     assert g.n == 9
     assert int(h_edge_mask(g, meta).sum()) == 12
@@ -250,18 +250,18 @@ def test_degenerate_lower_layout():
 
 def test_degenerate_lower_rejects_large_d():
     with pytest.raises(FamilyError):
-        gen_degenerate_lower({"L": 2, "delta": 3, "d": 4, "m": 1})
+        build("degenerate_lower_G", L=2, delta=3, d=4, m=1)
 
 
 def test_degenerate_measured_degeneracy_is_twice_d():
     # At L >= 3 the realized degeneracy of the construction sits at 2d.
     for d in (1, 2):
-        g, meta = gen_degenerate_lower({"L": 4, "delta": 4, "d": d, "m": 3})
+        g, meta = build("degenerate_lower_G", L=4, delta=4, d=d, m=3)
         assert g.degeneracy_ordering().degeneracy == 2 * d == meta.declared_degeneracy
 
 
 def test_degenerate_respects_declared_bounds():
-    g, meta = gen_degenerate_lower({"L": 4, "delta": 4, "d": 2, "m": 3})
+    g, meta = build("degenerate_lower_G", L=4, delta=4, d=2, m=3)
     assert g.diameter() <= meta.declared_diameter_bound
     assert g.max_degree == meta.declared_max_degree == 8
 
@@ -270,6 +270,9 @@ def test_degenerate_respects_declared_bounds():
 
 
 def test_family_spec_fail_closed():
+    for doc in (5, None, ["complete", {"n": 3}]):
+        with pytest.raises(FamilyError, match="JSON object"):
+            FamilySpec.from_json_dict(doc)
     with pytest.raises(FamilyError):
         FamilySpec.from_json_dict({"kind": "complete"})
     with pytest.raises(FamilyError):
@@ -296,6 +299,39 @@ def test_plan_matches_build():
         assert g.max_degree == meta.declared_max_degree
 
 
+@pytest.mark.parametrize(
+    "kind, params, match",
+    [
+        ("complete", {"n": 4.5}, "'n' must be an integer"),
+        ("complete", {"n": "4"}, "'n' must be an integer"),
+        ("complete", {"n": True}, "'n' must be an integer"),
+        ("grid", {"d": 2, "k": 1.0}, "'k' must be an integer"),
+        ("ladder_H", {"L": 2, "delta": False}, "'delta' must be an integer"),
+        ("subdivided_tree_I", {"L": 4, "m": "2"}, "'m' must be an integer"),
+        ("glued_G", {"L": 4.0, "delta": 1}, "'L' must be an integer"),
+        ("glued_G", {"max_degree": 5, "diameter": 518.0}, "'diameter' must be an integer"),
+        ("planar_lower_G", {"L": 4, "delta": 2, "m": True}, "'m' must be an integer"),
+        ("degenerate_lower_G", {"L": 2, "delta": 3, "d": 2.0}, "'d' must be an integer"),
+        ("glued_G", {"L": 4, "delta": 1, "a": math.inf}, "a must be a finite number"),
+        ("glued_G", {"L": 4, "delta": 1, "a": math.nan}, "a must be a finite number"),
+        ("glued_G", {"L": 4, "delta": 1, "a": 7}, "a must be a finite number above e\\^2"),
+        ("planar_lower_G", {"L": 4, "delta": 1, "a": True}, "a must be a finite number"),
+        ("degenerate_lower_G", {"L": 2, "delta": 3, "d": 2, "a": "9"}, "a must be a finite number"),
+        ("glued_G", {"L": 4, "delta": 1, "a": 1e308}, "out of range"),
+        ("glued_G", {"max_degree": 5, "diameter": 10**400}, "out of range"),
+        ("complete", {"n": 4, "L": 7}, "complete takes params"),
+        ("grid", {"d": 2}, "grid takes params"),
+        ("ladder_H", {"L": 2, "delta": 1, "a": 8.0}, "ladder_H takes params"),
+        ("subdivided_tree_I", {"L": 4, "m": 1, "d": 1}, "subdivided_tree_I takes params"),
+    ],
+)
+def test_family_params_are_strict(kind, params, match):
+    spec = FamilySpec(kind, params)
+    for call in (plan_family, build_family):
+        with pytest.raises(FamilyError, match=match):
+            call(spec)
+
+
 def test_build_family_budget():
     with pytest.raises(BudgetExceededError):
         build_family(FamilySpec("complete", {"n": 2000}), max_vertices=100)
@@ -316,13 +352,77 @@ def test_builds_are_deterministic():
     assert a.to_text() == b.to_text()
 
 
+# -- the family layer, byte for byte -------------------------------------------------
+
+# Every kind and both chain modes, including each family the acceptance
+# suite and the benchmark build.  The digests in family_layer_digests.json
+# were taken from the per-kind generators that the family table replaced;
+# the table must reproduce them exactly.
+_BUILT = {
+    "complete_1": ("complete", {"n": 1}),
+    "complete_5": ("complete", {"n": 5}),
+    "complete_256": ("complete", {"n": 256}),
+    "complete_2048": ("complete", {"n": 2048}),
+    "grid_1_5": ("grid", {"d": 1, "k": 5}),
+    "grid_2_3": ("grid", {"d": 2, "k": 3}),
+    "grid_12_1": ("grid", {"d": 12, "k": 1}),
+    "ladder_1_1": ("ladder_H", {"L": 1, "delta": 1}),
+    "ladder_5_3": ("ladder_H", {"L": 5, "delta": 3}),
+    "tree_2_1": ("subdivided_tree_I", {"L": 2, "m": 1}),
+    "tree_8_3": ("subdivided_tree_I", {"L": 8, "m": 3}),
+    "glued_formula": ("glued_G", {"max_degree": 5, "diameter": 518}),
+    "glued_4_1_int_a": ("glued_G", {"L": 4, "delta": 1, "a": 8}),
+    "glued_8_3_m4": ("glued_G", {"L": 8, "delta": 3, "a": 8.0, "m": 4}),
+    "glued_2_1_default_a": ("glued_G", {"L": 2, "delta": 1}),
+    "glued_32_4": ("glued_G", {"L": 32, "delta": 4, "a": 2 * E2}),
+    "glued_32_8": ("glued_G", {"L": 32, "delta": 8, "a": 2 * E2}),
+    "glued_64_8": ("glued_G", {"L": 64, "delta": 8, "a": 4 * E2}),
+    "planar_2_2_m2": ("planar_lower_G", {"L": 2, "delta": 2, "a": 8.0, "m": 2}),
+    "planar_4_4": ("planar_lower_G", {"L": 4, "delta": 4, "a": 2 * E2}),
+    "planar_32_4": ("planar_lower_G", {"L": 32, "delta": 4, "a": 2 * E2}),
+    "planar_32_8": ("planar_lower_G", {"L": 32, "delta": 8, "a": 2 * E2}),
+    "degenerate_2_3_2_m1": ("degenerate_lower_G", {"L": 2, "delta": 3, "d": 2, "m": 1}),
+    "degenerate_4_4_2_m3": ("degenerate_lower_G", {"L": 4, "delta": 4, "d": 2, "m": 3}),
+    "degenerate_32_4_2": ("degenerate_lower_G", {"L": 32, "delta": 4, "d": 2, "a": 2 * E2}),
+    "degenerate_32_8_4": ("degenerate_lower_G", {"L": 32, "delta": 8, "d": 4, "a": 2 * E2}),
+}
+# Formula-mode instances of these kinds are far beyond the build budget.
+_PLANNED = {
+    "planar_formula": ("planar_lower_G", {"max_degree": 8, "diameter": 5_000_000}),
+    "degenerate_formula": (
+        "degenerate_lower_G", {"max_degree": 8, "diameter": 5_000_000, "d": 2}
+    ),
+    "glued_formula_large": ("glued_G", {"max_degree": 9, "diameter": 10**6}),
+}
+_DIGESTS = json.loads((Path(__file__).parent / "family_layer_digests.json").read_text())
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", [*_BUILT, *_PLANNED])
+def test_family_layer_bytes_are_pinned(name):
+    kind, params = {**_BUILT, **_PLANNED}[name]
+    spec = FamilySpec(kind, params)
+    got = {"plan": _sha256(json.dumps(plan_family(spec)))}
+    if name in _BUILT:
+        g, meta = build_family(spec)
+        roles = (meta.main_groups, meta.small_groups, meta.leaf_vertices,
+                 meta.tree_root, meta.tree_edges)
+        got["graph"] = _sha256(g.to_text())
+        got["meta"] = _sha256(json.dumps(meta.to_json_dict()))
+        got["roles"] = _sha256(repr(roles))
+    assert got == _DIGESTS[name]
+
+
 # -- tree decomposition ------------------------------------------------------------
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("L,delta,m", [(2, 3, 2), (4, 4, 3)])
 def test_decomposition_small_instances(L, delta, m, d):
-    g, meta = gen_degenerate_lower({"L": L, "delta": delta, "d": d, "m": m})
+    g, meta = build("degenerate_lower_G", L=L, delta=delta, d=d, m=m)
     td = build_tree_decomposition_degenerate(g, meta)
     report = verify_tree_decomposition(g, td)
     assert report.passed, report.violations
@@ -333,7 +433,7 @@ def test_decomposition_wide_instance():
     # With eight leaf groups the bottom branchings lie on three
     # consecutive-leaf paths, so the width grows to 3d + 1.
     d = 2
-    g, meta = gen_degenerate_lower({"L": 8, "delta": 3, "d": d, "m": 2})
+    g, meta = build("degenerate_lower_G", L=8, delta=3, d=d, m=2)
     td = build_tree_decomposition_degenerate(g, meta)
     report = verify_tree_decomposition(g, td)
     assert report.passed, report.violations

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import treegrowth
-from treegrowth import harness
+from treegrowth import families, harness
 from treegrowth.counting import BoundRow
 from treegrowth.families import FamilySpec
 from treegrowth.growth import block_size, grow_fpp, sample_edge_weights
@@ -64,8 +64,9 @@ def test_config_rejects_unknown_and_missing_keys():
     del doc["trials"]
     with pytest.raises(HarnessError, match="missing config keys"):
         ExperimentSpec.from_json_dict(doc)
-    with pytest.raises(HarnessError, match="version"):
-        ExperimentSpec.from_json_dict(_config(version=2))
+    for version in (2, True, 1.0, "1"):
+        with pytest.raises(HarnessError, match="version"):
+            ExperimentSpec.from_json_dict(_config(version=version))
 
 
 def test_config_rejects_bad_fields():
@@ -393,12 +394,13 @@ def test_tree_slow_frequency_grows_with_subdivision():
 
 
 def test_every_exported_name_resolves():
-    for module in (treegrowth, harness):
+    for module in (treegrowth, harness, families):
         assert [name for name in module.__all__ if not hasattr(module, name)] == []
         assert len(set(module.__all__)) == len(module.__all__)
-    # What the package re-exports from the harness, the harness exports too.
-    defined_here = {
-        name for name in treegrowth.__all__
-        if getattr(getattr(treegrowth, name), "__module__", None) == harness.__name__
-    }
-    assert defined_here and defined_here <= set(harness.__all__)
+    # What the package re-exports from a module, that module exports too.
+    for module in (harness, families):
+        defined_here = {
+            name for name in treegrowth.__all__
+            if getattr(getattr(treegrowth, name), "__module__", None) == module.__name__
+        }
+        assert defined_here and defined_here <= set(module.__all__)
