@@ -30,6 +30,9 @@ import numpy as np
 from treegrowth.graphs import BudgetExceededError, Graph
 
 E2 = math.e**2
+# Vertex ids are int64, so no instance has more vertices than this.
+_VERTEX_LIMIT = 2**63
+_TOO_MANY_VERTICES = "{kind} params are out of range: more than 2**63 vertices"
 
 __all__ = [
     "E2",
@@ -200,6 +203,8 @@ def _resolve_complete(p: dict) -> dict:
 
 def _resolve_grid(p: dict) -> dict:
     d, k = _exact_ints("grid", p, d=1, k=1)
+    if d >= 64:  # then (k+1)**d >= 2**64: refuse before computing the power
+        raise FamilyError(_TOO_MANY_VERTICES.format(kind="grid"))
     return {"params": {"d": d, "k": k}, "n_vertices": (k + 1) ** d}
 
 
@@ -585,9 +590,12 @@ def _plan(spec: FamilySpec):
         raise FamilyError(f"unknown family kind {spec.kind!r}")
     resolve, build = _FAMILIES[spec.kind]
     try:
-        return {"kind": spec.kind, **resolve(spec.params)}, build
+        plan = {"kind": spec.kind, **resolve(spec.params)}
     except OverflowError as exc:
         raise FamilyError(f"{spec.kind} params are out of range: {exc}") from None
+    if plan["n_vertices"] > _VERTEX_LIMIT:
+        raise FamilyError(_TOO_MANY_VERTICES.format(kind=spec.kind))
+    return plan, build
 
 
 def plan_family(spec: FamilySpec) -> dict:

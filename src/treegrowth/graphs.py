@@ -202,23 +202,6 @@ class Graph:
         data = w[self._csr_edge_ids]
         return csr_matrix((data, self._csr_indices, self._csr_indptr), shape=(self.n, self.n))
 
-    def masked_weight_csr(self, weights, edge_keep) -> csr_matrix:
-        """Weighted CSR restricted to edges where edge_keep is True.
-
-        Dropped edges are absent from the structure, not zero-weighted, so
-        shortest paths genuinely cannot use them.
-        """
-        w = np.asarray(weights, dtype=np.float64)
-        keep = np.asarray(edge_keep, dtype=bool)
-        if w.shape != (self.m,) or keep.shape != (self.m,):
-            raise GraphError("weights and edge_keep must both have one entry per edge")
-        half_keep = keep[self._csr_edge_ids]
-        data = w[self._csr_edge_ids][half_keep]
-        indices = self._csr_indices[half_keep]
-        pref = np.concatenate([[0], np.cumsum(half_keep)])
-        indptr = pref[self._csr_indptr]
-        return csr_matrix((data, indices, indptr), shape=(self.n, self.n))
-
     def _structure(self) -> csr_matrix:
         if self._ones is None:
             data = np.ones(self._csr_indices.size)
@@ -319,9 +302,10 @@ class Graph:
     # -- serialization ------------------------------------------------------
 
     def to_text(self) -> str:
-        lines = [f"{self.n} {self.m}"]
-        lines.extend(f"{u} {v}" for u, v in self._edges)
-        return "\n".join(lines) + "\n"
+        """Header line "n m", then one "u v" line per canonical edge."""
+        # One %-format over all endpoints, not a Python call per edge.
+        body = ("%d %d\n" * self.m) % tuple(self._edges.ravel().tolist())
+        return f"{self.n} {self.m}\n" + body
 
     @classmethod
     def from_text(cls, text: str) -> "Graph":

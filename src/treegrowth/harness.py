@@ -14,6 +14,16 @@ the tree subgraph (tree_slow).  Together these force the grown tree to be at
 least as tall as the construction's height target, and that implication is
 asserted on every single trial.
 
+Both events are computed once per block of trials, from the block's weight
+matrix.  chain_fast runs the one FPP kernel on the chain H, built once as a
+graph of its own.  tree_slow needs the least distance between two leaves of
+the tree I.  I is a tree, so the path between two leaves is unique and turns
+at their lowest common ancestor; the closest pair turning at a node is the
+sum of its two children's least distances down to a leaf.  One bottom-up
+pass over I's log2(L) levels, vectorized over the block's rows, therefore
+gives the exact minimum, up to the order in which the edge weights are
+summed.
+
 The parent process builds the graph and the per-trial context once; pool
 workers receive that context at start-up and reuse it (copy-on-write under
 fork), so no worker builds the family again.  ``write_outputs`` owns the
@@ -32,7 +42,6 @@ from pathlib import Path
 from typing import Any
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra
 
 from .counting import BoundRow, bound_matrix
 from .families import FamilySpec, build_family, h_edge_mask
@@ -344,48 +353,99 @@ class _TrialContext:
     meta: Any
     s: int
     ecc_s: int
-    h_mask: np.ndarray | None
-    leaves: np.ndarray | None
+    # event_AB only: the chain H as its own graph (its edge e is g's e-th
+    # edge under h_mask), and the edge ids of the tree I that the leaf-pair
+    # DP sums: (L, m) along each leaf's subdivided path, and per internal
+    # level, bottom level first, from each node up to its parent.
+    h_mask: np.ndarray | None = None
+    chain: Graph | None = None
+    leaf_paths: np.ndarray | None = None
+    up_edges: tuple[np.ndarray, ...] = ()
 
 
 def _make_context(spec: ExperimentSpec, max_vertices: int) -> _TrialContext:
     g, meta = build_family(spec.family, max_vertices=max_vertices)
     s = resolve_start(spec.s_policy, g, meta)
-    mask = leaves = None
+    ctx = _TrialContext(spec=spec, g=g, meta=meta, s=s, ecc_s=int(g.eccentricity(s)))
     if "event_AB" in spec.metrics:
-        mask = h_edge_mask(g, meta)
-        leaves = np.asarray(meta.leaf_vertices, dtype=np.int64)
-    return _TrialContext(
-        spec=spec,
-        g=g,
-        meta=meta,
-        s=s,
-        ecc_s=int(g.eccentricity(s)),
-        h_mask=mask,
-        leaves=leaves,
+        ctx.h_mask = h_edge_mask(g, meta)
+        ctx.chain = Graph(meta.chain_vertex_count, g.edges[ctx.h_mask])
+        ctx.leaf_paths, ctx.up_edges = _tree_edge_index(g, meta)
+    return ctx
+
+
+def _tree_edge_index(g: Graph, meta) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Edge ids of the tree I, laid out for the leaf-pair DP.
+
+    I is a perfect binary tree in heap order: internal node h is vertex
+    n_H + h, leaf j sits at heap position L - 1 + j, and its path of m
+    edges runs from its heap parent through subdivision vertices
+    n_H + L - 1 + j*(m - 1) + t to the glued leaf vertex.
+    """
+    L, m, n_h = meta.params["L"], meta.params["m"], meta.chain_vertex_count
+    j = np.arange(L)
+    path = np.concatenate(
+        [
+            (n_h + (L - 2 + j) // 2)[:, None],
+            n_h + L - 1 + j[:, None] * (m - 1) + np.arange(m - 1),
+            np.asarray(meta.leaf_vertices)[:, None],
+        ],
+        axis=1,
     )
+    leaf_paths = g.edge_ids(path[:, :-1], path[:, 1:])
+    up_edges = []
+    width = L // 2
+    while width > 1:  # the internal level of `width` nodes, bottom first
+        h = np.arange(width - 1, 2 * width - 1)
+        up_edges.append(g.edge_ids(n_h + h, n_h + (h - 1) // 2))
+        width //= 2
+    return leaf_paths, tuple(up_edges)
+
+
+def _min_leaf_pair_distance(ctx: _TrialContext, weights: np.ndarray) -> np.ndarray:
+    """Per row of a (B, m) weight matrix, the least distance in I between two leaves.
+
+    I is a tree, so two leaves are joined by one path, which turns at their
+    lowest common ancestor.  Bottom-up over the levels, ``d`` holds each
+    node's least distance down to a leaf below it; the closest pair turning
+    at a node is the sum of its two children's ``d``, and siblings sit
+    side by side in heap order.
+    """
+    d = weights[:, ctx.leaf_paths].sum(axis=2)
+    best = np.full(weights.shape[0], np.inf)
+    for up in ctx.up_edges:
+        left, right = d[:, 0::2], d[:, 1::2]
+        best = np.minimum(best, (left + right).min(axis=1))
+        d = np.minimum(left, right) + weights[:, up]
+    return np.minimum(best, d[:, 0] + d[:, 1])  # the pairs turning at the root
 
 
 def _lower_bound_events(
-    ctx: _TrialContext, weights: np.ndarray, height: int
-) -> tuple[bool, bool, bool, bool]:
+    ctx: _TrialContext, weights: np.ndarray, heights: list[int]
+) -> np.ndarray:
+    """(B, 4) booleans per row of a (B, m) weight matrix and its tree heights:
+    chain_fast, tree_slow, height_target_met and implication_ok.
+
+    Raises RuntimeError at the first row where both events hold but the
+    height falls short of the target.
+    """
     meta = ctx.meta
     theta = meta.transit_threshold
-    chain_csr = ctx.g.masked_weight_csr(weights, ctx.h_mask)
-    dist = dijkstra(chain_csr, directed=False, indices=[ctx.s])
-    chain_fast = bool(dist[0, meta.target_vertex] <= theta)
-    tree_csr = ctx.g.masked_weight_csr(weights, ~ctx.h_mask)
-    pair = dijkstra(tree_csr, directed=False, indices=ctx.leaves)[:, ctx.leaves]
-    np.fill_diagonal(pair, np.inf)
-    tree_slow = bool(pair.min() > theta)
-    target_met = bool(height >= meta.height_target)
-    implication_ok = (not (chain_fast and tree_slow)) or target_met
-    if not implication_ok:
+    if ctx.s < meta.chain_vertex_count:
+        chain = grow_fpp_block(ctx.chain, ctx.s, weights[:, ctx.h_mask])
+        chain_fast = chain.dist[:, meta.target_vertex] <= theta
+    else:  # a start on a tree vertex cannot reach the target inside H
+        chain_fast = np.zeros(weights.shape[0], dtype=bool)
+    tree_slow = _min_leaf_pair_distance(ctx, weights) > theta
+    target_met = np.asarray(heights) >= meta.height_target
+    implication_ok = ~(chain_fast & tree_slow) | target_met
+    bad = np.flatnonzero(~implication_ok)
+    if bad.size:
         raise RuntimeError(
             "deterministic height implication violated: chain_fast and tree_slow"
-            f" held but height {height} < target {meta.height_target}"
+            f" held but height {heights[bad[0]]} < target {meta.height_target}"
         )
-    return chain_fast, tree_slow, target_met, implication_ok
+    return np.stack([chain_fast, tree_slow, target_met, implication_ok], axis=1)
 
 
 def _check_height(ctx: _TrialContext, h: int) -> None:
@@ -396,7 +456,8 @@ def _check_height(ctx: _TrialContext, h: int) -> None:
 
 
 def _run_block(ctx: _TrialContext, trials: range) -> list[TrialRecord]:
-    """Records of consecutive trials; their FPP trees come from one kernel call."""
+    """Records of consecutive trials; their FPP trees come from one kernel
+    call and their lower-bound events from one pass."""
     spec = ctx.spec
     want_fpp = spec.process in ("fpp", "both")
     want_discrete = spec.process in ("discrete", "both")
@@ -409,6 +470,11 @@ def _run_block(ctx: _TrialContext, trials: range) -> list[TrialRecord]:
             )
             weights[i] = sample_edge_weights(ctx.g, stream)
         block = grow_fpp_block(ctx.g, ctx.s, weights)
+        heights = block.depth.max(axis=1).tolist()
+        for h in heights:
+            _check_height(ctx, h)
+        if "event_AB" in metrics:
+            block_events = _lower_bound_events(ctx, weights, heights).tolist()
     records = []
     for i, trial in enumerate(trials):
         height = height_discrete = cover = lwpe = None
@@ -416,9 +482,7 @@ def _run_block(ctx: _TrialContext, trials: range) -> list[TrialRecord]:
         events = (None, None, None, None)
         if want_fpp:
             dist, depth = block.dist[i], block.depth[i]
-            h = int(depth.max())
-            _check_height(ctx, h)
-            height = h
+            height = heights[i]
             if "cover_time" in metrics:
                 far = int(np.argmax(dist))
                 cover = float(dist[far])
@@ -426,7 +490,7 @@ def _run_block(ctx: _TrialContext, trials: range) -> list[TrialRecord]:
             if "hitting_times" in metrics:
                 hitting = tuple(dist.tolist())
             if "event_AB" in metrics:
-                events = _lower_bound_events(ctx, weights[i], h)
+                events = block_events[i]
         if want_discrete:
             stream = stream_for(
                 spec.master_seed, spec.experiment_id, trial, DISCRETE_CHANNEL

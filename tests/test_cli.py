@@ -66,6 +66,9 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["gen", "--family", "glued_G", "--L", "3", "--delta", "1", "--a", "8"]) == 2
     assert main(["expt", "--config", "/nonexistent/config.json"]) == 2
     assert main(["gen", "--family", "grid", "--d", "9", "--k", "9"]) == 2  # budget
+    # (k+1)**d past 2**63 vertices, and past Python's int-to-str digit limit
+    for plan in ([], ["--plan"]):
+        assert main(["gen", "--family", "grid", "--d", "20000", "--k", "1", *plan]) == 2
     for s in ("-1", "99"):  # the start vertex must lie in [0, n)
         assert main(["grow", "--family", "complete", "--n", "4", "--s", s]) == 2
     assert main(["gen", "--family", "complete", "--n", "4", "--L", "7"]) == 2

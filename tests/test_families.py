@@ -323,6 +323,9 @@ def test_plan_matches_build():
         ("grid", {"d": 2}, "grid takes params"),
         ("ladder_H", {"L": 2, "delta": 1, "a": 8.0}, "ladder_H takes params"),
         ("subdivided_tree_I", {"L": 4, "m": 1, "d": 1}, "subdivided_tree_I takes params"),
+        ("grid", {"d": 20000, "k": 1}, "out of range: more than 2\\*\\*63 vertices"),
+        ("grid", {"d": 30, "k": 5000}, "out of range: more than 2\\*\\*63 vertices"),
+        ("ladder_H", {"L": 10**3000, "delta": 10**3000}, "out of range"),
     ],
 )
 def test_family_params_are_strict(kind, params, match):

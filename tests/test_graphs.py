@@ -5,10 +5,8 @@ import math
 from fractions import Fraction
 
 import networkx as nx
-import numpy as np
 import pytest
 from hypothesis import given
-from scipy.sparse.csgraph import dijkstra
 
 from treegrowth.graphs import BudgetExceededError, Graph, GraphError
 
@@ -190,30 +188,6 @@ def test_weight_csr_dense_layout():
 def test_weight_csr_rejects_bad_shape():
     with pytest.raises(GraphError):
         complete(3).weight_csr([1.0, 2.0])
-
-
-def test_masked_weight_csr_removes_structure():
-    g = cycle(4)  # canonical edges (0,1) (0,3) (1,2) (2,3)
-    keep = np.array([False, True, True, True])
-    mat = g.masked_weight_csr(np.ones(4), keep)
-    assert mat.indptr.tolist() == [0, 1, 2, 4, 6]
-    dist = dijkstra(mat, indices=0)
-    assert dist.tolist() == [0.0, 3.0, 2.0, 1.0]
-
-
-def test_masked_weight_csr_keep_nothing():
-    g = complete(3)
-    mat = g.masked_weight_csr(np.ones(3), np.zeros(3, dtype=bool))
-    dist = dijkstra(mat, indices=0)
-    assert dist[0] == 0.0 and np.all(np.isinf(dist[1:]))
-
-
-@given(connected_graphs())
-def test_masked_matches_full_when_all_kept(g):
-    w = np.linspace(0.5, 2.0, g.m)
-    full = g.weight_csr(w).toarray()
-    masked = g.masked_weight_csr(w, np.ones(g.m, dtype=bool)).toarray()
-    assert np.array_equal(full, masked)
 
 
 # -- serialization -----------------------------------------------------------------

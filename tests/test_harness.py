@@ -9,12 +9,16 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 import treegrowth
 from treegrowth import families, harness
 from treegrowth.counting import BoundRow
 from treegrowth.families import FamilySpec
-from treegrowth.growth import block_size, grow_fpp, sample_edge_weights
+from treegrowth.growth import block_size, grow_fpp, grow_fpp_block, sample_edge_weights
 from treegrowth.harness import (
     RECORD_KEYS,
     ExperimentSpec,
@@ -27,6 +31,7 @@ from treegrowth.harness import (
     write_verdicts_csv,
     _lower_bound_events,
     _make_context,
+    _min_leaf_pair_distance,
     _summarize_metric,
 )
 from treegrowth.randomness import stream_for
@@ -305,34 +310,138 @@ def test_summary_csv_layout():
 GLUED_TINY = {"kind": "glued_G", "params": {"L": 2, "delta": 1, "a": 8, "m": 2}}
 
 
-def test_lower_bound_events_hand_weights():
+def _masked_csr(g, weights, keep):
+    """Weighted CSR of g holding only the edges where keep is True."""
+    half = keep[g.adj_edge_ids]
+    indptr = np.concatenate([[0], np.cumsum(half)])[g.adj_indptr]
+    data = weights[g.adj_edge_ids][half]
+    return csr_matrix((data, g.adj_indices[half], indptr), shape=(g.n, g.n))
+
+
+def events_oracle(ctx, weights, height):
+    """One trial's events by two scipy Dijkstras on masked copies of g.
+
+    Returns the events (chain_fast, tree_slow, height_target_met,
+    implication_ok) and the distances they test: from s to the target
+    inside the chain H, and the least one between two leaves inside the
+    tree I.
+    """
+    meta, g = ctx.meta, ctx.g
+    theta = meta.transit_threshold
+    h_mask = families.h_edge_mask(g, meta)
+    leaves = np.asarray(meta.leaf_vertices)
+    dist = dijkstra(_masked_csr(g, weights, h_mask), directed=False, indices=[ctx.s])
+    chain = float(dist[0, meta.target_vertex])
+    chain_fast = chain <= theta
+    pair = dijkstra(_masked_csr(g, weights, ~h_mask), directed=False,
+                    indices=leaves)[:, leaves]
+    np.fill_diagonal(pair, np.inf)
+    least = float(pair.min())
+    tree_slow = least > theta
+    target_met = bool(height >= meta.height_target)
+    implication_ok = (not (chain_fast and tree_slow)) or target_met
+    return (chain_fast, tree_slow, target_met, implication_ok), (chain, least)
+
+
+def _event_context(family):
     spec = ExperimentSpec.from_json_dict(
-        _config(family=GLUED_TINY, metrics=["height", "event_AB"], trials=1)
+        _config(family=family, metrics=["height", "event_AB"])
     )
-    ctx = _make_context(spec, max_vertices=1 << 20)
+    return _make_context(spec, max_vertices=1 << 20)
+
+
+def test_lower_bound_events_hand_weights():
+    ctx = _event_context(GLUED_TINY)
     theta = ctx.meta.transit_threshold
     assert theta == pytest.approx(32 / math.e**2)
     # canonical edge order: (0,1) chain, then (0,3),(1,4),(2,3),(2,4) tree edges
-    weights = np.array([0.5, 2.0, 2.0, 2.0, 2.0])
-    events = _lower_bound_events(ctx, weights, height=2)
-    assert events == (True, True, True, True)
-    slow_chain = np.array([theta + 1.0, 2.0, 2.0, 2.0, 2.0])
-    events = _lower_bound_events(ctx, slow_chain, height=2)
-    assert events[0] is False
-    fast_tree = np.array([0.5, 0.1, 0.1, 0.1, 0.1])
-    events = _lower_bound_events(ctx, fast_tree, height=2)
-    assert events[1] is False
+    weights = np.array([
+        [0.5, 2.0, 2.0, 2.0, 2.0],
+        [theta + 1.0, 2.0, 2.0, 2.0, 2.0],  # slow chain
+        [0.5, 0.1, 0.1, 0.1, 0.1],  # fast tree
+    ])
+    events = _lower_bound_events(ctx, weights, [2, 2, 2])
+    assert events.tolist() == [
+        [True, True, True, True],
+        [False, True, True, True],
+        [True, False, True, True],
+    ]
+    assert _min_leaf_pair_distance(ctx, weights).tolist() == [8.0, 8.0, pytest.approx(0.4)]
 
 
 def test_lower_bound_events_violation_raises():
-    spec = ExperimentSpec.from_json_dict(
-        _config(family=GLUED_TINY, metrics=["height", "event_AB"], trials=1)
-    )
-    ctx = _make_context(spec, max_vertices=1 << 20)
+    ctx = _event_context(GLUED_TINY)
     ctx.meta = dataclasses.replace(ctx.meta, height_target=10**6)
-    weights = np.array([0.5, 2.0, 2.0, 2.0, 2.0])
-    with pytest.raises(RuntimeError, match="implication violated"):
-        _lower_bound_events(ctx, weights, height=2)
+    weights = np.array([[0.5, 2.0, 2.0, 2.0, 2.0]])
+    with pytest.raises(RuntimeError, match="implication violated") as info:
+        _lower_bound_events(ctx, weights, [2])
+    assert str(info.value).endswith("held but height 2 < target 1000000")
+
+
+def test_chain_graph_edges_are_the_masked_edges():
+    ctx = _event_context({"kind": "planar_lower_G",
+                          "params": {"L": 8, "delta": 3, "a": 8, "m": 2}})
+    assert ctx.chain.n == ctx.meta.chain_vertex_count
+    assert np.array_equal(ctx.chain.edges, ctx.g.edges[ctx.h_mask])
+
+
+@st.composite
+def lower_bound_families(draw):
+    kind = draw(st.sampled_from(harness.LOWER_BOUND_KINDS))
+    params = {
+        "L": draw(st.sampled_from([2, 4, 8, 32])),
+        "delta": draw(st.integers(1, 3)),
+        "a": 8.0,
+        "m": draw(st.integers(1, 4)),
+    }
+    if kind == "degenerate_lower_G":
+        params["d"] = draw(st.integers(1, params["delta"]))
+    return {"kind": kind, "params": params}
+
+
+@given(lower_bound_families(), st.integers(1, 6), st.integers(0, 2**32 - 1))
+@settings(max_examples=40)
+def test_lower_bound_events_match_oracle(family, b, seed):
+    ctx = _event_context(family)
+    g, h_mask, theta = ctx.g, ctx.h_mask, ctx.meta.transit_threshold
+
+    def draw(rows, channel):
+        return np.stack([
+            sample_edge_weights(g, stream_for(seed, channel, i)) for i in range(rows)
+        ])
+
+    # Scale the chain's and the tree's weights so that each event holds on
+    # about half of the draws: theta sits at the median of 16 pilot draws.
+    pilot = np.array([events_oracle(ctx, w, 0)[1] for w in draw(16, 0)])
+    chain_scale, tree_scale = theta / np.median(pilot, axis=0)
+    weights = draw(b, 1) * np.where(h_mask, chain_scale, tree_scale)
+    heights = grow_fpp_block(g, ctx.s, weights).depth.max(axis=1).tolist()
+    expect = [events_oracle(ctx, w, h) for w, h in zip(weights, heights)]
+    events = _lower_bound_events(ctx, weights, heights)
+    assert events.tolist() == [list(e[0]) for e in expect]
+    np.testing.assert_allclose(
+        _min_leaf_pair_distance(ctx, weights), [e[1][1] for e in expect], rtol=1e-12
+    )
+
+
+def test_start_outside_chain_never_chain_fast():
+    # s = 12 is a subdivision vertex of the tree I, so it cannot reach the
+    # target inside the chain H.
+    family = {"kind": "glued_G", "params": {"L": 4, "delta": 2, "a": 8, "m": 4}}
+    spec = ExperimentSpec.from_json_dict(
+        _config(family=family, s_policy={"vertex": 12},
+                metrics=["height", "event_AB"], trials=100)
+    )
+    records, summary = run_experiment(spec)
+    ctx = _make_context(spec, max_vertices=1 << 20)
+    assert ctx.s >= ctx.meta.chain_vertex_count
+    assert summary.event_freqs["chain_fast"] == 0.0
+    assert summary.event_freqs["tree_slow"] == 0.87
+    for r in records:
+        w = sample_edge_weights(ctx.g, stream_for(7, 0, r.trial, 0))
+        expect = events_oracle(ctx, w, r.height)[0]
+        assert (r.event_chain_fast, r.event_tree_slow, r.height_target_met,
+                r.implication_ok) == expect
 
 
 def test_lower_bound_experiment_records_events():
