@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 
 class GraphError(ValueError):
@@ -119,8 +119,12 @@ class Graph:
         self._ones = None
         self._edge_keys = None
 
-        ncomp, _ = connected_components(self._structure(), directed=False)
-        if ncomp != 1:
+        # The CSR holds both half-edges, so a directed search is exact and
+        # skips the CSC copy an undirected one makes.
+        reached = breadth_first_order(
+            self._structure(), 0, directed=True, return_predecessors=False
+        )
+        if reached.size != n:
             raise GraphError("graph must be connected")
 
     # -- basic accessors ------------------------------------------------

@@ -368,6 +368,13 @@ def _make_context(spec: ExperimentSpec, max_vertices: int) -> _TrialContext:
     s = resolve_start(spec.s_policy, g, meta)
     ctx = _TrialContext(spec=spec, g=g, meta=meta, s=s, ecc_s=int(g.eccentricity(s)))
     if "event_AB" in spec.metrics:
+        # The height implication follows from the construction only for a
+        # start in the first group; a start on the tree I never has chain_fast.
+        if s < meta.chain_vertex_count and s not in meta.main_groups[0]:
+            raise HarnessError(
+                f"event_AB needs a start in the first group or on the tree I;"
+                f" vertex {s} lies elsewhere in the chain H"
+            )
         ctx.h_mask = h_edge_mask(g, meta)
         ctx.chain = Graph(meta.chain_vertex_count, g.edges[ctx.h_mask])
         ctx.leaf_paths, ctx.up_edges = _tree_edge_index(g, meta)

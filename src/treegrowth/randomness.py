@@ -9,6 +9,12 @@ Exponential variates are drawn by inverse CDF (-log(1 - U)) rather than
 the generator's ziggurat method: the same uniform stream then yields the
 same weights everywhere, which the law-equivalence and replay tests rely
 on.
+
+The two-stage minimum is drawn through the identity min of b independent
+Exp(1) variables ~ Exp(1)/b: each child's cheapest leaf edge is one draw at
+rate b, so a sample costs 2a uniforms, not the a(1 + b) of drawing every
+edge.  The edge-by-edge sampler lives on in the tests as the oracle the
+identity is checked against.
 """
 
 from __future__ import annotations
@@ -44,16 +50,21 @@ def sample_two_stage_min(
     """Minimum root-to-leaf weight in the two-level tree with branching (a, b).
 
     The root has a children, each child has b leaf children, and every edge
-    carries an independent unit-rate exponential weight.  Sampled literally,
-    in chunks to bound memory.
+    carries an independent unit-rate exponential weight.  A child's b leaf
+    edges only matter through their minimum, which is Exp(1)/b, so each
+    sample takes a child draws and a leaf-minimum draws at rate b: exactly
+    2a uniforms.  Rows are drawn in chunks of at most 2**20 values per array
+    to bound memory.
     """
+    if a < 1 or b < 1:
+        raise ValueError(f"branching must be >= 1, got a={a}, b={b}")
     out = np.empty(size)
-    chunk = max(1, (1 << 22) // (a * b))
+    chunk = max(1, (1 << 20) // a)
     for start in range(0, size, chunk):
         c = min(chunk, size - start)
         child = sample_exponential(stream, (c, a))
-        leaf = sample_exponential(stream, (c, a, b))
-        out[start : start + c] = (child + leaf.min(axis=2)).min(axis=1)
+        leaf = sample_exponential(stream, (c, a), rate=b)
+        out[start : start + c] = (child + leaf).min(axis=1)
     return out
 
 

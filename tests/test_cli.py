@@ -83,6 +83,15 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     ):
         config = _expt_config(tmp_path, **{key: value})
         assert main(["expt", "--config", str(config), "--out", str(out)]) == 2
+    # event_AB from a chain vertex outside the first group
+    config = _expt_config(
+        tmp_path,
+        family={"kind": "degenerate_lower_G",
+                "params": {"L": 8, "delta": 2, "d": 1, "a": 8, "m": 3}},
+        s_policy={"vertex": 12}, trials=60, master_seed=5, experiment_id=8,
+        metrics=["height", "event_AB"],
+    )
+    assert main(["expt", "--config", str(config), "--out", str(out)]) == 2
     assert not out.exists()
 
 

@@ -444,6 +444,19 @@ def test_start_outside_chain_never_chain_fast():
                 r.implication_ok) == expect
 
 
+def test_event_ab_rejects_start_elsewhere_in_chain():
+    # s = 12 is the glued vertex of group 4 (of groups 0..7) in H; the
+    # campaign used to die mid-run with "held but height 11 < target 14".
+    family = {"kind": "degenerate_lower_G",
+              "params": {"L": 8, "delta": 2, "d": 1, "a": 8, "m": 3}}
+    spec = ExperimentSpec.from_json_dict(
+        _config(family=family, s_policy={"vertex": 12}, metrics=["height", "event_AB"],
+                trials=60, master_seed=5, experiment_id=8)
+    )
+    with pytest.raises(HarnessError, match="first group"):
+        run_experiment(spec)
+
+
 def test_lower_bound_experiment_records_events():
     spec = ExperimentSpec.from_json_dict(
         _config(

@@ -2,8 +2,10 @@
 
 Where a sampler has a known closed-form law, we test against scipy's
 implementation of that law (KS at alpha = 1e-3 with fixed seeds).  The
-two-stage minimum gets an independent second implementation for the b = 1
-case, where it collapses to a minimum of Erlang(2) variables.
+two-stage minimum, drawn through the identity min of b Exp(1) ~ Exp(1)/b,
+is checked against the literal sampler that draws every edge of the tree,
+and against an independent second implementation for the b = 1 case, where
+it collapses to a minimum of Erlang(2) variables.
 """
 
 import math
@@ -28,6 +30,18 @@ from treegrowth.randomness import (
 )
 
 ALPHA = 1e-3
+
+
+def literal_two_stage_min(stream, a, b, size):
+    """Oracle: the two-level tree drawn edge by edge, a(1 + b) draws per sample."""
+    out = np.empty(size)
+    chunk = max(1, (1 << 22) // (a * b))
+    for start in range(0, size, chunk):
+        c = min(chunk, size - start)
+        child = sample_exponential(stream, (c, a))
+        leaf = sample_exponential(stream, (c, a, b))
+        out[start : start + c] = (child + leaf.min(axis=2)).min(axis=1)
+    return out
 
 
 def test_streams_are_reproducible():
@@ -70,6 +84,29 @@ def test_memorylessness():
 def test_erlang_matches_gamma_law(k):
     x = sample_erlang(stream_for(13, k), k, 100_000)
     assert stats.kstest(x, "gamma", args=(k,)).pvalue > ALPHA
+
+
+@pytest.mark.parametrize("i, a, b", [(0, 4, 1), (1, 8, 4), (2, 16, 16)])
+def test_two_stage_min_matches_literal_oracle(i, a, b):
+    # The (a, b) pairs are the ones criterion 7 checks.
+    y = sample_two_stage_min(stream_for(23, i, 0), a, b, 50_000)
+    oracle = literal_two_stage_min(stream_for(23, i, 1), a, b, 50_000)
+    assert stats.ks_2samp(y, oracle).pvalue > ALPHA
+
+
+@pytest.mark.parametrize("a, b", [(0, 4), (4, 0), (-1, 1), (1, -3)])
+def test_two_stage_min_rejects_invalid_branching(a, b):
+    with pytest.raises(ValueError, match="branching"):
+        sample_two_stage_min(stream_for(23, 9), a, b, 10)
+
+
+def test_two_stage_min_draws_two_a_uniforms_per_sample():
+    # 70 000 rows at a = 16 span two chunks of at most 2**20 values.
+    a, b, size = 16, 16, 70_000
+    stream, twin = stream_for(23, 10), stream_for(23, 10)
+    sample_two_stage_min(stream, a, b, size)
+    twin.random(2 * a * size)
+    assert stream.random() == twin.random()
 
 
 def test_two_stage_min_against_second_implementation():
