@@ -28,7 +28,7 @@ from .counting import (
 from .families import E2, FamilySpec, build_family
 from .graphs import Graph
 from .growth import law_equivalence_test
-from .harness import OUTPUT_FILES, ExperimentSpec, run_experiment
+from .harness import OUTPUT_FILES, ExperimentSpec, HarnessError, run_experiment
 from .randomness import (
     check_erlang_head,
     check_erlang_tail,
@@ -505,4 +505,6 @@ def run_suite(suite: str = "quick", workers: int = 1) -> list[CriterionResult]:
         numbers = FULL_CRITERIA
     else:
         raise ValueError(f"unknown suite {suite!r} (expected 'quick' or 'full')")
+    if workers < 1:
+        raise HarnessError(f"workers must be >= 1, got {workers}")
     return [_CRITERIA[k](workers=workers) for k in numbers]

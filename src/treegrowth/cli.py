@@ -14,6 +14,7 @@ import os
 import sys
 from pathlib import Path
 
+from . import harness
 from .families import (
     KINDS,
     FamilyError,
@@ -22,17 +23,13 @@ from .families import (
     plan_family,
 )
 from .graphs import BudgetExceededError, GraphError
-from .growth import grow_discrete, grow_fpp, sample_edge_weights
 from .harness import (
-    DISCRETE_CHANNEL,
-    WEIGHT_CHANNEL,
     ExperimentSpec,
     HarnessError,
     resolve_start,
     run_experiment,
     write_outputs,
 )
-from .randomness import stream_for
 
 PARAM_FLAGS = ("n", "d", "k", "L", "delta", "m", "max_degree", "diameter")
 
@@ -100,46 +97,26 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_grow(args: argparse.Namespace) -> int:
-    g, meta = build_family(_family_spec(args), max_vertices=args.max_vertices)
-    s = resolve_start(_start_policy(args), g, meta)
-    stream = stream_for(args.seed, 0, 0, DISCRETE_CHANNEL)
-    tree = grow_discrete(g, s, stream)
-    print(
-        json.dumps(
-            {
-                "family": args.family,
-                "n": g.n,
-                "s": s,
-                "master_seed": args.seed,
-                "process": "discrete",
-                "height": tree.height(),
-            }
-        )
+def _cmd_trial(args: argparse.Namespace) -> int:
+    """``grow`` or ``fpp``: trial 0 of a one-trial campaign, run by the
+    campaign's own block code."""
+    fpp = args.command == "fpp"
+    spec = ExperimentSpec(
+        family=_family_spec(args),
+        s_policy=_start_policy(args),
+        process="fpp" if fpp else "discrete",
+        master_seed=args.seed,
+        metrics=("height", "cover_time", "hitting_times") if fpp else ("height",),
     )
-    return 0
-
-
-def _cmd_fpp(args: argparse.Namespace) -> int:
-    g, meta = build_family(_family_spec(args), max_vertices=args.max_vertices)
-    s = resolve_start(_start_policy(args), g, meta)
-    stream = stream_for(args.seed, 0, 0, WEIGHT_CHANNEL)
-    res = grow_fpp(g, s, sample_edge_weights(g, stream))
-    print(
-        json.dumps(
-            {
-                "family": args.family,
-                "n": g.n,
-                "s": s,
-                "master_seed": args.seed,
-                "process": "fpp",
-                "height": res.height,
-                "cover_time": float(res.cover_time),
-                "longest_weighted_path_edges": int(res.longest_weighted_path_edges),
-                "hitting_times": [float(t) for t in res.hitting],
-            }
-        )
-    )
+    ctx = harness._make_context(spec, args.max_vertices)
+    (record,) = harness._run_block(ctx, range(1))
+    fields = record.to_json_dict()
+    keys = ["height"]
+    if fpp:
+        keys += ["cover_time", "longest_weighted_path_edges", "hitting_times"]
+    doc = {"family": args.family, "n": ctx.g.n, "s": ctx.s,
+           "master_seed": args.seed, "process": spec.process}
+    print(json.dumps(doc | {key: fields[key] for key in keys}))
     return 0
 
 
@@ -186,7 +163,7 @@ def _cmd_expt(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .acceptance import run_suite
 
-    results = run_suite(args.suite, workers=args.workers or 1)
+    results = run_suite(args.suite, workers=args.workers)
     failed = False
     for res in results:
         print(res.render())
@@ -214,14 +191,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_start_arguments(p_grow)
     p_grow.add_argument("--seed", type=int, default=0)
     p_grow.add_argument("--max-vertices", type=int, default=1 << 20)
-    p_grow.set_defaults(func=_cmd_grow)
+    p_grow.set_defaults(func=_cmd_trial)
 
     p_fpp = sub.add_parser("fpp", help="one weighted trial with hitting times")
     _add_family_arguments(p_fpp)
     _add_start_arguments(p_fpp)
     p_fpp.add_argument("--seed", type=int, default=0)
     p_fpp.add_argument("--max-vertices", type=int, default=1 << 20)
-    p_fpp.set_defaults(func=_cmd_fpp)
+    p_fpp.set_defaults(func=_cmd_trial)
 
     p_count = sub.add_parser("count", help="exact counts vs closed-form ceilings")
     _add_family_arguments(p_count)
@@ -242,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the acceptance suite")
     p_verify.add_argument("--suite", choices=("quick", "full"), default="quick")
-    p_verify.add_argument("--workers", type=int, default=None)
+    p_verify.add_argument("--workers", type=int, default=1)
     p_verify.set_defaults(func=_cmd_verify)
 
     return parser

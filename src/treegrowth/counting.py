@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graphs import BudgetExceededError, Graph
+from .graphs import BudgetExceededError, Graph, GraphError
 from .families import ConstructionMeta
 
 __all__ = [
@@ -75,9 +75,9 @@ def count_simple_paths_upto(
     node expansions passes the budget, reporting the progress made so far.
     """
     if not 0 <= s < g.n:
-        raise ValueError(f"start vertex {s} out of range")
+        raise GraphError(f"start vertex {s} out of range")
     if max_length < 0:
-        raise ValueError("max_length must be >= 0")
+        raise GraphError("max_length must be >= 0")
     neighbors = [g.neighbors(v).tolist() for v in range(g.n)]
     counts = [0] * (max_length + 1)
     visited = [False] * g.n

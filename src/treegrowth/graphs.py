@@ -18,6 +18,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 
+_DIAMETER_SOURCES = 512  # BFS sources per call in Graph.diameter
+
+
 class GraphError(ValueError):
     """Raised for malformed graph input."""
 
@@ -223,10 +226,10 @@ class Graph:
     def eccentricity(self, source: int) -> int:
         return int(self.bfs_distances(source).max())
 
-    def diameter(self, chunk: int = 512) -> int:
+    def diameter(self) -> int:
         best = 0
-        for start in range(0, self.n, chunk):
-            idx = np.arange(start, min(start + chunk, self.n))
+        for start in range(0, self.n, _DIAMETER_SOURCES):
+            idx = np.arange(start, min(start + _DIAMETER_SOURCES, self.n))
             d = dijkstra(self._structure(), indices=idx, unweighted=True)
             best = max(best, int(d.max()))
         return best

@@ -45,7 +45,6 @@ class GrowthCertificateError(RuntimeError):
 class RootedTree:
     root: int
     parent: np.ndarray  # parent[v], -1 at the root
-    attach_order: np.ndarray  # vertices in the order they joined
 
     def depths(self) -> np.ndarray:
         return _forest_depths(self.parent)
@@ -115,7 +114,6 @@ def grow_discrete(g: Graph, s: int, stream: np.random.Generator) -> RootedTree:
     parent = np.empty(n, dtype=np.int64)  # every vertex but s is assigned
     parent[s] = -1
     outside = np.ones(n, dtype=bool)
-    attach = np.empty(n, dtype=np.int64)
     tree_end = np.empty(g.m, dtype=np.int64)
     out_end = np.empty(g.m, dtype=np.int64)
     size = live = 0
@@ -140,7 +138,6 @@ def grow_discrete(g: Graph, s: int, stream: np.random.Generator) -> RootedTree:
                     break
             parent[v] = tree_end[i]
         outside[v] = False
-        attach[step] = v
         nb = indices[indptr[v] : indptr[v + 1]]
         out = nb[outside[nb]]
         k = out.size
@@ -148,19 +145,10 @@ def grow_discrete(g: Graph, s: int, stream: np.random.Generator) -> RootedTree:
         out_end[size : size + k] = out
         size += k
         live += 2 * k - nb.size  # v's edges into the tree are no longer boundary
-    return RootedTree(s, parent, attach)
+    return RootedTree(s, parent)
 
 
 # -- first-passage percolation ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FppResult:
-    tree: RootedTree
-    hitting: np.ndarray  # weighted distance from the root to each vertex
-    cover_time: float  # max hitting time
-    longest_weighted_path_edges: int  # tree depth of the last vertex reached
-    height: int  # tree depth of the deepest vertex
 
 
 def block_size(g: Graph) -> int:
@@ -175,6 +163,22 @@ class FppBlock:
     dist: np.ndarray  # (B, n) weighted distance from the root
     parent: np.ndarray  # (B, n) parent in the tree, -1 at the root
     depth: np.ndarray  # (B, n) depth in the tree
+
+    @property
+    def height(self) -> np.ndarray:
+        """(B,) depth of the deepest vertex."""
+        return self.depth.max(axis=1)
+
+    @property
+    def cover_time(self) -> np.ndarray:
+        """(B,) hitting time of the last vertex reached."""
+        return self.dist.max(axis=1)
+
+    @property
+    def longest_weighted_path_edges(self) -> np.ndarray:
+        """(B,) depth of the last vertex reached, the first one on a tie."""
+        far = self.dist.argmax(axis=1)
+        return self.depth[np.arange(far.size), far]
 
 
 def grow_fpp_block(g: Graph, s: int, weights) -> FppBlock:
@@ -210,42 +214,42 @@ def grow_fpp_block(g: Graph, s: int, weights) -> FppBlock:
     return FppBlock(dist.reshape(b, n), parent, depth.reshape(b, n))
 
 
-def grow_fpp(g: Graph, s: int, weights, check: bool = False) -> FppResult:
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (g.m,):
-        raise GraphError(f"need {g.m} edge weights, got shape {w.shape}")
-    block = grow_fpp_block(g, s, w[None, :])
-    dist, depths = block.dist[0], block.depth[0]
-    order = np.argsort(dist, kind="stable")
-    tree = RootedTree(s, block.parent[0], order)
-    if check:
-        _check_fpp_certificate(g, w, dist, tree)
-    far = int(np.argmax(dist))
-    return FppResult(
-        tree, dist, float(dist[far]), int(depths[far]), int(depths.max())
-    )
+def check_fpp_certificate(g: Graph, s: int, weights, block: FppBlock) -> None:
+    """Certify every row of ``block`` as the shortest-path tree of that
+    row of the (B, m) weight matrix.
 
-
-def _check_fpp_certificate(g: Graph, w, dist, tree) -> None:
+    With non-negative weights three checks suffice: the root is at distance
+    0, no edge shortens a distance (the triangle inequality), and every
+    other vertex is reached exactly through its parent edge.  Parent
+    pointers without a cycle are already enforced when the kernel computes
+    the block's depths.
+    """
     tol = 1e-9
-    if dist[tree.root] != 0.0:
-        raise GrowthCertificateError("root has nonzero hitting time")
+    w = np.asarray(weights, dtype=np.float64)
+    dist, b = block.dist, block.dist.shape[0]
+    if w.shape != (b, g.m):
+        raise GraphError(f"need ({b}, {g.m}) edge weights, got shape {w.shape}")
+    bad = np.flatnonzero(dist[:, s] != 0.0)
+    if bad.size:
+        raise GrowthCertificateError(f"row {bad[0]}: root has nonzero hitting time")
     u, v = g.edges[:, 0], g.edges[:, 1]
-    slack = np.abs(dist[u] - dist[v]) - w
-    if np.any(slack > tol):
-        e = int(np.argmax(slack))
+    short = np.abs(dist[:, u] - dist[:, v]) - w > tol
+    if np.any(short):
+        row, e = np.unravel_index(np.argmax(short), short.shape)
         raise GrowthCertificateError(
-            f"edge {tuple(g.edges[e])} violates the triangle inequality"
+            f"row {row}: edge {tuple(g.edges[e].tolist())} violates the"
+            " triangle inequality"
         )
-    child = np.delete(np.arange(g.n), tree.root)
-    eids = _tree_edge_ids(g, tree.parent[None, :], tree.root)[0]
-    loose = np.abs(dist[child] - (dist[tree.parent[child]] + w[eids])) > tol
+    rows = np.arange(b)[:, None]
+    child = np.delete(np.arange(g.n), s)
+    parent = block.parent[:, child]
+    eids = _tree_edge_ids(g, block.parent, s)
+    loose = np.abs(dist[:, child] - (dist[rows, parent] + w[rows, eids])) > tol
     if np.any(loose):
-        x = int(child[np.argmax(loose)])
-        raise GrowthCertificateError(f"vertex {x} is not tight through its parent")
-    d_sorted = dist[tree.attach_order]
-    if np.any(np.diff(d_sorted) < -tol):
-        raise GrowthCertificateError("attach order is not monotone in hitting time")
+        row, i = np.unravel_index(np.argmax(loose), loose.shape)
+        raise GrowthCertificateError(
+            f"row {row}: vertex {child[i]} is not tight through its parent"
+        )
 
 
 # -- exact law on small graphs ------------------------------------------------------

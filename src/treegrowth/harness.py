@@ -46,15 +46,7 @@ import numpy as np
 from .counting import BoundRow, bound_matrix
 from .families import FamilySpec, build_family, h_edge_mask
 from .graphs import Graph
-# grow_fpp is not called here; it stays importable because bench/instrument.py
-# wraps harness.grow_fpp.
-from .growth import (  # noqa: F401
-    block_size,
-    grow_discrete,
-    grow_fpp,
-    grow_fpp_block,
-    sample_edge_weights,
-)
+from .growth import block_size, grow_discrete, grow_fpp_block, sample_edge_weights
 from .randomness import binomial_margin, stream_for
 
 __all__ = [
@@ -118,7 +110,7 @@ class ExperimentSpec:
         if self.trials < 1:
             raise HarnessError("trials must be >= 1")
         if not 0 <= self.master_seed < 2**64:
-            raise HarnessError("master_seed must fit in 64 bits")
+            raise HarnessError("master_seed must lie in [0, 2**64)")
         if self.workers < 1:
             raise HarnessError("workers must be >= 1")
         if self.experiment_id < 0:
@@ -477,9 +469,12 @@ def _run_block(ctx: _TrialContext, trials: range) -> list[TrialRecord]:
             )
             weights[i] = sample_edge_weights(ctx.g, stream)
         block = grow_fpp_block(ctx.g, ctx.s, weights)
-        heights = block.depth.max(axis=1).tolist()
+        heights = block.height.tolist()
         for h in heights:
             _check_height(ctx, h)
+        if "cover_time" in metrics:
+            covers = block.cover_time.tolist()
+            lwpes = block.longest_weighted_path_edges.tolist()
         if "event_AB" in metrics:
             block_events = _lower_bound_events(ctx, weights, heights).tolist()
     records = []
@@ -488,14 +483,11 @@ def _run_block(ctx: _TrialContext, trials: range) -> list[TrialRecord]:
         hitting = None
         events = (None, None, None, None)
         if want_fpp:
-            dist, depth = block.dist[i], block.depth[i]
             height = heights[i]
             if "cover_time" in metrics:
-                far = int(np.argmax(dist))
-                cover = float(dist[far])
-                lwpe = int(depth[far])
+                cover, lwpe = covers[i], lwpes[i]
             if "hitting_times" in metrics:
-                hitting = tuple(dist.tolist())
+                hitting = tuple(block.dist[i].tolist())
             if "event_AB" in metrics:
                 events = block_events[i]
         if want_discrete:

@@ -6,6 +6,7 @@ import subprocess
 
 import pytest
 
+from treegrowth import acceptance
 from treegrowth.cli import main
 from treegrowth.graphs import Graph
 from treegrowth.harness import OUTPUT_FILES
@@ -71,6 +72,11 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert main(["gen", "--family", "grid", "--d", "20000", "--k", "1", *plan]) == 2
     for s in ("-1", "99"):  # the start vertex must lie in [0, n)
         assert main(["grow", "--family", "complete", "--n", "4", "--s", s]) == 2
+    for command, seed in (("grow", "-1"), ("fpp", "-1"), ("fpp", str(2**64))):
+        # the master seed must lie in [0, 2**64)
+        assert main([command, "--family", "complete", "--n", "4", "--seed", seed]) == 2
+    assert main(["count", "--family", "grid", "--d", "2", "--k", "1",
+                 "--max-length", "-1"]) == 2
     assert main(["gen", "--family", "complete", "--n", "4", "--L", "7"]) == 2
     assert main(["gen", "--family", "glued_G", "--L", "4", "--delta", "1", "--a", "inf"]) == 2
     out = tmp_path / "out"
@@ -104,6 +110,35 @@ def test_grow_and_fpp_json(capsys):
     assert doc["hitting_times"][0] == 0.0
     assert doc["cover_time"] == max(doc["hitting_times"])
     assert len(doc["hitting_times"]) == 4
+
+
+# Captured before grow and fpp ran through the campaign's block code.
+GOLDEN_TRIALS = {
+    ("fpp", "--family", "grid", "--d", "2", "--k", "1", "--seed", "3"):
+        '{"family": "grid", "n": 4, "s": 0, "master_seed": 3, "process": "fpp",'
+        ' "height": 2, "cover_time": 0.8525767143477767,'
+        ' "longest_weighted_path_edges": 2, "hitting_times": [0.0,'
+        ' 0.037616660552780866, 0.005127451631514634, 0.8525767143477767]}\n',
+    ("grow", "--family", "complete", "--n", "64", "--seed", "5"):
+        '{"family": "complete", "n": 64, "s": 0, "master_seed": 5,'
+        ' "process": "discrete", "height": 8}\n',
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_TRIALS), ids=lambda argv: argv[0])
+def test_single_trial_stdout_is_pinned(argv, capsys):
+    assert main(list(argv)) == 0
+    assert capsys.readouterr().out == GOLDEN_TRIALS[argv]
+
+
+def test_verify_rejects_workers_below_one(monkeypatch, capsys):
+    def never(workers):
+        raise AssertionError("a criterion ran")
+
+    monkeypatch.setattr(acceptance, "_CRITERIA", dict.fromkeys(acceptance._CRITERIA, never))
+    for workers in ("0", "-3"):
+        assert main(["verify", "--suite", "quick", "--workers", workers]) == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
 
 
 def test_fpp_seed_reproducible(capsys):

@@ -7,6 +7,7 @@ statistically against the exact enumeration.  The batched FPP kernel is
 checked bit for bit against a plain heap Dijkstra kept here as an oracle.
 """
 
+import dataclasses
 import heapq
 from fractions import Fraction
 
@@ -17,21 +18,19 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from treegrowth import growth
-from treegrowth.graphs import BudgetExceededError, Graph
+from treegrowth.graphs import BudgetExceededError, Graph, GraphError
 from treegrowth.growth import (
-    FppResult,
     GrowthCertificateError,
     RootedTree,
-    _check_fpp_certificate,
     _forest_depths,
+    check_fpp_certificate,
     exact_discrete_law,
     grow_discrete,
-    grow_fpp,
     grow_fpp_block,
     law_equivalence_test,
     sample_edge_weights,
 )
-from treegrowth.randomness import stream_for
+from treegrowth.randomness import sample_exponential, stream_for
 
 from helpers import complete, connected_graphs, cycle, path
 
@@ -126,8 +125,7 @@ def test_law_budget():
 @settings(max_examples=40)
 def test_grow_discrete_returns_spanning_tree(g):
     tree = grow_discrete(g, 0, stream_for(3, 0))
-    assert tree.attach_order[0] == 0
-    assert sorted(tree.attach_order.tolist()) == list(range(g.n))
+    assert tree.parent[0] == -1
     for v in range(1, g.n):
         g.edge_id(v, int(tree.parent[v]))  # edge must exist
     depths = tree.depths()
@@ -174,7 +172,8 @@ def test_law_pvalue_matches_scipy_chisquare(g):
         counts = dict.fromkeys(keys, 0)
         for _ in range(3000):
             if process == "fpp":
-                tree = grow_fpp(g, 0, sample_edge_weights(g, stream)).tree
+                w = sample_edge_weights(g, stream)[None, :]
+                tree = RootedTree(0, grow_fpp_block(g, 0, w).parent[0])
             else:
                 tree = grow_discrete(g, 0, stream)
             counts[tree.edge_key(g)] += 1
@@ -190,7 +189,7 @@ def test_law_equivalence_rejects_a_tree_edge_outside_the_graph(monkeypatch):
         tree = real(g, s, stream)
         parent = tree.parent.copy()
         parent[2] = 0  # (0, 2) is a diagonal of the 4-cycle, not an edge
-        return RootedTree(tree.root, parent, tree.attach_order)
+        return RootedTree(tree.root, parent)
 
     monkeypatch.setattr(growth, "grow_discrete", corrupted)
     with pytest.raises(GrowthCertificateError, match="not an edge"):
@@ -233,35 +232,43 @@ def test_discrete_height_on_complete_graph_matches_random_recursive_tree():
 # -- first-passage percolation ------------------------------------------------------
 
 
+def solve_one(g: Graph, s: int, w) -> growth.FppBlock:
+    """A B = 1 block, certified."""
+    w = np.asarray(w, dtype=np.float64)[None, :]
+    block = grow_fpp_block(g, s, w)
+    check_fpp_certificate(g, s, w, block)
+    return block
+
+
 def test_fpp_on_path():
-    res = grow_fpp(path(3), 0, [0.5, 1.2], check=True)
-    assert res.hitting.tolist() == [0.0, 0.5, 1.7]
-    assert res.tree.parent.tolist() == [-1, 0, 1]
-    assert res.cover_time == pytest.approx(1.7)
-    assert res.longest_weighted_path_edges == 2
-    assert res.height == res.tree.height() == 2
+    block = solve_one(path(3), 0, [0.5, 1.2])
+    assert block.dist[0].tolist() == [0.0, 0.5, 1.7]
+    assert block.parent[0].tolist() == [-1, 0, 1]
+    assert block.cover_time.tolist() == [pytest.approx(1.7)]
+    assert block.longest_weighted_path_edges.tolist() == [2]
+    assert block.height.tolist() == [2]
 
 
 def test_fpp_takes_detour():
     # Weights: (0,1)=1.0 (0,2)=3.0 (1,2)=0.5; vertex 2 is reached through 1.
-    res = grow_fpp(complete(3), 0, [1.0, 3.0, 0.5], check=True)
-    assert res.hitting.tolist() == [0.0, 1.0, 1.5]
-    assert res.tree.parent.tolist() == [-1, 0, 1]
-    assert res.tree.edge_key(complete(3)) == (0, 2)
-    assert res.cover_time == pytest.approx(1.5)
-    assert res.longest_weighted_path_edges == 2
+    block = solve_one(complete(3), 0, [1.0, 3.0, 0.5])
+    assert block.dist[0].tolist() == [0.0, 1.0, 1.5]
+    assert block.parent[0].tolist() == [-1, 0, 1]
+    assert RootedTree(0, block.parent[0]).edge_key(complete(3)) == (0, 2)
+    assert block.cover_time.tolist() == [pytest.approx(1.5)]
+    assert block.longest_weighted_path_edges.tolist() == [2]
 
 
 @given(connected_graphs())
 @settings(max_examples=40)
 def test_fpp_certificate_on_random_inputs(g):
-    w = sample_edge_weights(g, stream_for(7, g.n, g.m))
-    res = grow_fpp(g, 0, w, check=True)
-    assert res.height == res.tree.height()
-    assert res.cover_time >= 0.0
-    assert res.height >= g.eccentricity(0)
-    assert res.height >= res.longest_weighted_path_edges
-    assert res.height <= g.n - 1
+    w = sample_exponential(stream_for(7, g.n, g.m), (3, g.m))
+    block = grow_fpp_block(g, 0, w)
+    check_fpp_certificate(g, 0, w, block)
+    assert np.all(block.cover_time >= 0.0)
+    assert np.all(block.height >= g.eccentricity(0))
+    assert np.all(block.height >= block.longest_weighted_path_edges)
+    assert np.all(block.height <= g.n - 1)
 
 
 @given(connected_graphs(), st.integers(2, 6), st.data())
@@ -272,12 +279,18 @@ def test_fpp_block_matches_dijkstra_oracle(g, b, data):
     s = data.draw(st.integers(0, g.n - 1))
     w = np.stack([sample_edge_weights(g, stream_for(13, g.n, g.m, i)) for i in range(b)])
     block = grow_fpp_block(g, s, w)
+    check_fpp_certificate(g, s, w, block)
     assert block.dist.shape == block.parent.shape == block.depth.shape == (b, g.n)
     for i in range(b):
         dist, parent = dijkstra_oracle(g, s, w[i])
         assert np.array_equal(block.dist[i], dist)
         assert np.array_equal(block.parent[i], parent)
-        assert block.depth[i].tolist() == walk_depths(parent)
+        depths = walk_depths(parent)
+        assert block.depth[i].tolist() == depths
+        far = int(np.argmax(dist))
+        assert block.height[i] == max(depths)
+        assert block.cover_time[i] == dist[far]
+        assert block.longest_weighted_path_edges[i] == depths[far]
 
 
 @given(connected_graphs())
@@ -297,34 +310,45 @@ def test_pointer_doubling_rejects_a_cycle():
 
 
 def test_fpp_rejects_bad_weights():
-    with pytest.raises(Exception):
-        grow_fpp(path(3), 0, [1.0, -0.5])
-    with pytest.raises(Exception):
-        grow_fpp(path(3), 0, [1.0])
+    for w in ([[1.0, -0.5]], [[1.0]], [1.0, 0.5], [[1.0, np.inf]]):
+        with pytest.raises(GraphError):
+            grow_fpp_block(path(3), 0, w)
+    block = grow_fpp_block(path(3), 0, [[1.0, 0.5]])
+    with pytest.raises(GraphError):
+        check_fpp_certificate(path(3), 0, [1.0, 0.5], block)
 
 
 def test_certificate_detects_corruption():
-    g = path(3)
-    w = np.array([0.5, 1.2])
-    res = grow_fpp(g, 0, w)
-    bad = res.hitting.copy()
-    bad[2] = 0.1
-    with pytest.raises(GrowthCertificateError):
-        _check_fpp_certificate(g, w, bad, res.tree)
-    shuffled = RootedTree(0, res.tree.parent, res.tree.attach_order[::-1].copy())
-    with pytest.raises(GrowthCertificateError):
-        _check_fpp_certificate(g, w, res.hitting, shuffled)
+    # Row 2 of a three-row block on the path 0-1-2-3 has hitting times
+    # [0, 0.5, 2, 3]; each corruption must name its row, edge or vertex.
+    g = path(4)
+    w = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0], [0.5, 1.5, 1.0]])
+    block = grow_fpp_block(g, 0, w)
+    check_fpp_certificate(g, 0, w, block)
+    for row, v, value, message in (
+        (1, 0, 0.3, "row 1: root has nonzero hitting time"),
+        (2, 3, 10.0, r"row 2: edge \(2, 3\) violates the triangle inequality"),
+        (2, 3, 2.5, "row 2: vertex 3 is not tight through its parent"),
+    ):
+        dist = block.dist.copy()
+        dist[row, v] = value
+        with pytest.raises(GrowthCertificateError, match=message):
+            check_fpp_certificate(g, 0, w, dataclasses.replace(block, dist=dist))
 
 
 def test_certificate_detects_a_loose_parent():
-    # Hitting times and attach order are right; only vertex 2's parent is
-    # wrong: the direct edge (0, 2) of weight 3 is not its shortest path.
+    # Hitting times are right; only vertex 2's parent in row 2 is wrong:
+    # the direct edge (0, 2) of weight 3 is not its shortest path.
     g = complete(3)
-    w = np.array([1.0, 3.0, 0.5])
-    res = grow_fpp(g, 0, w, check=True)
-    loose = RootedTree(0, np.array([-1, 0, 0]), res.tree.attach_order)
-    with pytest.raises(GrowthCertificateError, match="vertex 2 is not tight"):
-        _check_fpp_certificate(g, w, res.hitting, loose)
+    w = np.array([[1.0, 1.0, 1.0], [2.0, 1.0, 1.0], [1.0, 3.0, 0.5]])
+    block = grow_fpp_block(g, 0, w)
+    check_fpp_certificate(g, 0, w, block)
+    assert block.parent[2].tolist() == [-1, 0, 1]
+    parent = block.parent.copy()
+    parent[2] = [-1, 0, 0]
+    loose = dataclasses.replace(block, parent=parent)
+    with pytest.raises(GrowthCertificateError, match="row 2: vertex 2 is not tight"):
+        check_fpp_certificate(g, 0, w, loose)
 
 
 def test_fpp_deterministic_replay():
@@ -332,7 +356,8 @@ def test_fpp_deterministic_replay():
     w1 = sample_edge_weights(g, stream_for(21, 9))
     w2 = sample_edge_weights(g, stream_for(21, 9))
     assert np.array_equal(w1, w2)
-    assert grow_fpp(g, 0, w1).tree.edge_key(g) == grow_fpp(g, 0, w2).tree.edge_key(g)
+    trees = [grow_fpp_block(g, 0, w[None, :]).parent for w in (w1, w2)]
+    assert np.array_equal(*trees)
 
 
 # -- heights ---------------------------------------------------------------------------
@@ -343,7 +368,7 @@ def test_fpp_deterministic_replay():
 def test_height_bounded_by_eccentricity_and_size(g):
     stream = stream_for(17, g.n, g.m)
     for h in (
-        grow_fpp(g, 0, sample_edge_weights(g, stream)).height,
+        int(grow_fpp_block(g, 0, sample_edge_weights(g, stream)[None, :]).height[0]),
         grow_discrete(g, 0, stream).height(),
     ):
         assert g.eccentricity(0) <= h <= g.n - 1

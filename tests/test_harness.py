@@ -18,7 +18,7 @@ import treegrowth
 from treegrowth import families, harness
 from treegrowth.counting import BoundRow
 from treegrowth.families import FamilySpec
-from treegrowth.growth import block_size, grow_fpp, grow_fpp_block, sample_edge_weights
+from treegrowth.growth import block_size, grow_fpp_block, sample_edge_weights
 from treegrowth.harness import (
     RECORD_KEYS,
     ExperimentSpec,
@@ -198,9 +198,10 @@ def test_blocks_do_not_change_output():
     assert [r.trial for r in solo] == list(range(19))
     for r in (solo[0], solo[-1]):
         w = sample_edge_weights(ctx.g, stream_for(7, 0, r.trial, 0))
-        res = grow_fpp(ctx.g, 0, w)
-        assert r.height == res.height and r.cover_time == res.cover_time
-        assert r.hitting_times == tuple(res.hitting.tolist())
+        alone = grow_fpp_block(ctx.g, 0, w[None, :])
+        assert r.height == alone.height[0] and r.cover_time == alone.cover_time[0]
+        assert r.longest_weighted_path_edges == alone.longest_weighted_path_edges[0]
+        assert r.hitting_times == tuple(alone.dist[0].tolist())
 
 
 def test_path_from_end_always_full_height():
@@ -415,7 +416,7 @@ def test_lower_bound_events_match_oracle(family, b, seed):
     pilot = np.array([events_oracle(ctx, w, 0)[1] for w in draw(16, 0)])
     chain_scale, tree_scale = theta / np.median(pilot, axis=0)
     weights = draw(b, 1) * np.where(h_mask, chain_scale, tree_scale)
-    heights = grow_fpp_block(g, ctx.s, weights).depth.max(axis=1).tolist()
+    heights = grow_fpp_block(g, ctx.s, weights).height.tolist()
     expect = [events_oracle(ctx, w, h) for w, h in zip(weights, heights)]
     events = _lower_bound_events(ctx, weights, heights)
     assert events.tolist() == [list(e[0]) for e in expect]
