@@ -2,10 +2,11 @@
 """Pilot run behind the grid cover-time ratio check.
 
 Estimates p99(cover time)/k on the four grid shapes used by acceptance
-criterion 5 and writes the values to results/pilot_grid_cover.csv.  The
-acceptance threshold (max ratio <= 3 x min ratio) was chosen from this
-pilot: the observed spread is ~1.3x, so 3x leaves wide noise headroom
-while still failing if cover time stopped scaling linearly in k.
+criterion 5, through the same campaigns (``acceptance.grid_cover_summaries``),
+and writes the values to results/pilot_grid_cover.csv.  The acceptance
+threshold (max ratio <= 3 x min ratio) was chosen from this pilot: the
+observed spread is ~1.3x, so 3x leaves wide noise headroom while still
+failing if cover time stopped scaling linearly in k.
 
 Usage: python3 scripts/pilot_grid_cover.py [--trials N] [--out PATH]
 """
@@ -14,11 +15,7 @@ import argparse
 import csv
 from pathlib import Path
 
-from treegrowth.families import FamilySpec
-from treegrowth.harness import ExperimentSpec, run_experiment
-
-SHAPES = ((2, 8), (3, 5), (4, 3), (6, 2))
-MASTER_SEED = 7
+from treegrowth.acceptance import grid_cover_summaries
 
 
 def main() -> int:
@@ -31,17 +28,7 @@ def main() -> int:
     args = parser.parse_args()
 
     rows = []
-    for i, (d, k) in enumerate(SHAPES):
-        spec = ExperimentSpec(
-            family=FamilySpec("grid", {"d": d, "k": k}),
-            s_policy="first-vertex",
-            process="fpp",
-            trials=args.trials,
-            master_seed=MASTER_SEED,
-            metrics=("height", "cover_time"),
-            experiment_id=500 + i,
-        )
-        _, summary = run_experiment(spec)
+    for (d, k), summary in grid_cover_summaries(trials=args.trials).items():
         cover = next(m for m in summary.metrics if m.metric == "cover_time")
         rows.append({
             "d": d, "k": k, "n_vertices": (k + 1) ** d, "trials": args.trials,

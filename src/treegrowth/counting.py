@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 E = math.e
+_EXPANSION_BUDGET = 16  # largest n whose exact boundary profile bound_matrix computes
+_DIAMETER_COST_CAP = 2 * 10**8  # largest n*m for which bound_matrix measures the diameter
 
 
 def ceil_sqrt(x: int) -> int:
@@ -72,7 +74,7 @@ def count_simple_paths_upto(
     """Exact counts of simple paths from s, one entry per length 0..max_length.
 
     Depth-first backtracking; raises BudgetExceededError once the number of
-    node expansions passes the budget, reporting the progress made so far.
+    node expansions passes the budget, naming the budget and the depth reached.
     """
     if not 0 <= s < g.n:
         raise GraphError(f"start vertex {s} out of range")
@@ -89,7 +91,6 @@ def count_simple_paths_upto(
         if expansions > budget:
             raise BudgetExceededError(
                 f"path search exceeded {budget} node expansions at depth {depth}"
-                f" with partial counts {counts}"
             )
         counts[depth] += 1
         if depth == max_length:
@@ -188,12 +189,7 @@ class BoundRow:
     formula: str
 
 
-def bound_matrix(
-    g: Graph,
-    meta: ConstructionMeta | None = None,
-    expansion_budget: int = 16,
-    diameter_cost_cap: int = 2 * 10**8,
-) -> list[BoundRow]:
+def bound_matrix(g: Graph, meta: ConstructionMeta) -> list[BoundRow]:
     """Instantiate every applicable cover-time / height ceiling for g.
 
     Genus is taken from declared metadata, never computed.  The expansion row
@@ -202,7 +198,7 @@ def bound_matrix(
     in which case the declared bound stands in (noted in the formula).
     """
     n, delta = g.n, g.max_degree
-    if n * g.m <= diameter_cost_cap or meta is None:
+    if n * g.m <= _DIAMETER_COST_CAP:
         diam = g.diameter()
         diam_src = "diameter"
     else:
@@ -248,7 +244,7 @@ def bound_matrix(
                 f"*(2*{diam_src} + 4*ln(n)))",
             )
         )
-    genus = None if meta is None else meta.declared_genus
+    genus = meta.declared_genus
     genus_ok = (
         genus is not None
         and delta >= 1
@@ -271,8 +267,8 @@ def bound_matrix(
             formula=f"ceil(16*e*sqrt(6*max_degree)*(2*{diam_src} + 4*ln(n)))",
         )
     )
-    if n <= expansion_budget and delta >= 1:
-        psi = float(g.expansion_profile(budget=expansion_budget).inverse_boundary_sum)
+    if n <= _EXPANSION_BUDGET and delta >= 1:
+        psi = float(g.expansion_profile(budget=_EXPANSION_BUDGET).inverse_boundary_sum)
         cut = math.ceil(4 * E * psi * delta)
         rows.append(
             BoundRow(

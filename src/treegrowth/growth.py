@@ -36,6 +36,11 @@ from treegrowth.randomness import sample_exponential
 # stay a few hundred kilobytes, and a graph with m above the cap runs alone.
 _BLOCK_EDGES = 1 << 14
 
+# exact_discrete_law's budget: graphs of at most this many vertices, and at
+# most this many distinct partial trees after any growth step.
+_LAW_MAX_VERTICES = 9
+_LAW_MAX_STATES = 500_000
+
 
 class GrowthCertificateError(RuntimeError):
     """Raised when a grown tree fails its optimality certificate."""
@@ -255,16 +260,14 @@ def check_fpp_certificate(g: Graph, s: int, weights, block: FppBlock) -> None:
 # -- exact law on small graphs ------------------------------------------------------
 
 
-def exact_discrete_law(
-    g: Graph, s: int, max_vertices: int = 9, max_states: int = 500_000
-) -> dict[tuple[int, ...], Fraction]:
+def exact_discrete_law(g: Graph, s: int) -> dict[tuple[int, ...], Fraction]:
     """Distribution over final spanning trees (as sorted edge-id tuples).
 
     Exhaustive over growth histories, grouped by partial tree, so the cost
     is bounded by the number of distinct subtrees rather than histories.
     """
-    if g.n > max_vertices:
-        raise BudgetExceededError(f"exact law limited to {max_vertices} vertices")
+    if g.n > _LAW_MAX_VERTICES:
+        raise BudgetExceededError(f"exact law limited to {_LAW_MAX_VERTICES} vertices")
     eu, ev = g.edges[:, 0], g.edges[:, 1]
     current: dict[frozenset, tuple[Fraction, frozenset]] = {
         frozenset(): (Fraction(1), frozenset({s}))
@@ -285,7 +288,7 @@ def exact_discrete_law(
                     nxt[ns] = (nxt[ns][0] + q, nxt[ns][1])
                 else:
                     nxt[ns] = (q, verts | {new_vert})
-            if len(nxt) > max_states:
+            if len(nxt) > _LAW_MAX_STATES:
                 raise BudgetExceededError("exact law state budget exceeded")
         current = nxt
     law = {tuple(sorted(state)): p for state, (p, _) in current.items()}

@@ -37,7 +37,7 @@ import io
 import json
 import math
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -188,22 +188,6 @@ class ExperimentSpec:
         }
 
 
-RECORD_KEYS = (
-    "trial",
-    "seed_path",
-    "process",
-    "height",
-    "height_discrete",
-    "cover_time",
-    "longest_weighted_path_edges",
-    "hitting_times",
-    "event_chain_fast",
-    "event_tree_slow",
-    "height_target_met",
-    "implication_ok",
-)
-
-
 @dataclass(frozen=True)
 class TrialRecord:
     """One trial's outputs; reconstructible from (spec, trial) alone."""
@@ -229,6 +213,9 @@ class TrialRecord:
                 value = list(value)
             doc[key] = value
         return doc
+
+
+RECORD_KEYS = tuple(f.name for f in fields(TrialRecord))
 
 
 @dataclass(frozen=True)
@@ -606,28 +593,11 @@ def summarize(
 # -- flat-file emission ----------------------------------------------------------------
 
 
-OUTPUT_FILES = ("spec.json", "records.jsonl", "summary.csv", "verdicts.csv", "events.csv")
-
-
-def write_outputs(
-    outdir: str | Path, spec: ExperimentSpec, records: list[TrialRecord], summary: Summary
-) -> None:
-    """Write the campaign's OUTPUT_FILES into outdir, creating it if needed."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+def _write_spec_json(spec: ExperimentSpec, fh: io.TextIOBase) -> None:
     # workers is a scheduling detail, not part of the reproducible result
     resolved = spec.to_json_dict()
     del resolved["workers"]
-    writers = {
-        "spec.json": lambda fh: fh.write(json.dumps(resolved, indent=2) + "\n"),
-        "records.jsonl": lambda fh: write_records_jsonl(records, fh),
-        "summary.csv": lambda fh: write_summary_csv(summary, fh),
-        "verdicts.csv": lambda fh: write_verdicts_csv(summary.verdicts, fh),
-        "events.csv": lambda fh: write_events_csv(summary, fh),
-    }
-    for name in OUTPUT_FILES:
-        with open(outdir / name, "w", encoding="utf-8") as fh:
-            writers[name](fh)
+    fh.write(json.dumps(resolved, indent=2) + "\n")
 
 
 def write_records_jsonl(records: list[TrialRecord], fh: io.TextIOBase) -> None:
@@ -663,3 +633,27 @@ def write_events_csv(summary: Summary, fh: io.TextIOBase) -> None:
     if summary.event_freqs:
         for name, freq in summary.event_freqs.items():
             writer.writerow([name, repr(freq), summary.trials])
+
+
+# The campaign's file set, in write order: each file's name and the call that
+# writes it from (spec, records, summary).
+_OUTPUTS = (
+    ("spec.json", lambda spec, records, summary, fh: _write_spec_json(spec, fh)),
+    ("records.jsonl", lambda spec, records, summary, fh: write_records_jsonl(records, fh)),
+    ("summary.csv", lambda spec, records, summary, fh: write_summary_csv(summary, fh)),
+    ("verdicts.csv",
+     lambda spec, records, summary, fh: write_verdicts_csv(summary.verdicts, fh)),
+    ("events.csv", lambda spec, records, summary, fh: write_events_csv(summary, fh)),
+)
+OUTPUT_FILES = tuple(name for name, _ in _OUTPUTS)
+
+
+def write_outputs(
+    outdir: str | Path, spec: ExperimentSpec, records: list[TrialRecord], summary: Summary
+) -> None:
+    """Write the campaign's OUTPUT_FILES into outdir, creating it if needed."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, write in _OUTPUTS:
+        with open(outdir / name, "w", encoding="utf-8") as fh:
+            write(spec, records, summary, fh)

@@ -7,7 +7,15 @@ realizes degeneracy above d on the larger instances, so the criterion
 honestly reports FAIL and this suite pins down exactly that split.
 """
 
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
 from treegrowth import acceptance
+
+PILOT_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "pilot_grid_cover.py"
 
 
 def _check(result, runtime_cap=None):
@@ -34,6 +42,19 @@ def test_criterion_4_hypercube_cover_time():
 
 def test_criterion_5_grid_cover_time():
     _check(acceptance.criterion_5())
+
+
+def test_pilot_script_writes_criterion_5_shapes(tmp_path, monkeypatch):
+    out = tmp_path / "p.csv"
+    monkeypatch.setattr(sys, "argv", [str(PILOT_SCRIPT), "--trials", "20", "--out", str(out)])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(PILOT_SCRIPT), run_name="__main__")
+    assert exit_info.value.code == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "d,k,n_vertices,trials,cover_mean,cover_p99,p99_over_k"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(int(r[0]), int(r[1])) for r in rows] == [(2, 8), (3, 5), (4, 3), (6, 2)]
+    assert all(r[3] == "20" for r in rows)
 
 
 def test_criterion_6_walk_path_bounds():
@@ -81,6 +102,14 @@ def test_suite_composition():
     results = acceptance.run_suite("quick")
     assert [r.number for r in results] == [6, 8, 10, 11]
     assert [r.passed for r in results] == [True, True, False, True]
+    assert [r.detail for r in results] == [
+        "exact <= ceiling on 126 walk checks and 90 path checks"
+        " (lengths 0..8, zero tolerance)",
+        "12 grid points across 9 checks within bound+3sigma",
+        "decomposition valid with width <= 2d+1 on 6/6;"
+        " peeling degeneracy <= d on 2/6 (construction realizes degeneracy up to d+2)",
+        "5 output files identical across a rerun and across worker counts 1 and 8",
+    ]
     for r in results:
         line = r.render()
         assert line.startswith("[PASS]") or line.startswith("[FAIL]")

@@ -77,6 +77,11 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert main([command, "--family", "complete", "--n", "4", "--seed", seed]) == 2
     assert main(["count", "--family", "grid", "--d", "2", "--k", "1",
                  "--max-length", "-1"]) == 2
+    capsys.readouterr()
+    assert main(["count", "--family", "complete", "--n", "4",
+                 "--max-length", "100000", "--budget", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 200, err[:200]
     assert main(["gen", "--family", "complete", "--n", "4", "--L", "7"]) == 2
     assert main(["gen", "--family", "glued_G", "--L", "4", "--delta", "1", "--a", "inf"]) == 2
     out = tmp_path / "out"
