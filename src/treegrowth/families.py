@@ -345,8 +345,7 @@ def _resolve_degenerate(p: dict) -> dict:
 
 def _build_complete(plan: dict) -> tuple[Graph, ConstructionMeta]:
     n = plan["n_vertices"]
-    iu, iv = np.triu_indices(n, 1)
-    g = Graph(n, np.stack([iu, iv], axis=1))
+    g = Graph(n, np.stack(np.triu_indices(n, 1), axis=1))
     genus = _ceil((n - 3) * (n - 4) / 12) if n >= 3 else 0
     meta = ConstructionMeta(
         kind="complete",

@@ -3,13 +3,16 @@ growth experiments need.
 
 A :class:`Graph` is immutable after construction: edges are canonicalized
 (u < v, lexicographically sorted) and the CSR adjacency used by the
-traversal routines is built exactly once.  All randomness lives elsewhere;
-everything in this module is deterministic.
+traversal routines is built exactly once, in O(m) passes plus at most two
+stable sorts: one of the edge keys, only when the input is not already
+canonical, and one of the half-edges by row.  All randomness lives
+elsewhere; everything in this module is deterministic.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -69,7 +72,19 @@ class ExpansionProfile:
 
 
 class Graph:
-    """Immutable connected simple undirected graph on vertices 0..n-1."""
+    """Immutable connected simple undirected graph on vertices 0..n-1.
+
+    ``Graph(n, edges)`` takes an integer n and an (m, 2) integer array-like
+    of endpoints.  It checks, in this order, that the endpoints lie in
+    0..n-1, that there is no self-loop, no duplicate edge, and that the
+    graph is connected, raising :class:`GraphError` otherwise.
+
+    Edges that are already canonical (``complete`` and ``ladder_H`` emit
+    them) are kept as given: an int64 C-ordered array is adopted without a
+    copy and made read-only.  Other input is sorted once.  The CSR comes
+    from one stable sort of the half-edges by row; all index arrays are
+    int64.
+    """
 
     __slots__ = (
         "n",
@@ -84,39 +99,63 @@ class Graph:
     )
 
     def __init__(self, n: int, edges) -> None:
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise GraphError("vertex count must be an integer") from None
         if n < 1:
             raise GraphError("graph needs at least one vertex")
-        e = np.asarray(edges, dtype=np.int64)
+        e = np.asarray(edges)
         if e.size == 0:
-            e = e.reshape(0, 2)
+            e = np.zeros((0, 2), dtype=np.int64)
+        if e.dtype.kind not in "iu":
+            raise GraphError("edge endpoints must be integers")
         if e.ndim != 2 or e.shape[1] != 2:
             raise GraphError("edges must be an (m, 2) array of endpoints")
+        e = np.ascontiguousarray(e, dtype=np.int64)
         m = e.shape[0]
         if m and (e.min() < 0 or e.max() >= n):
             raise GraphError("edge endpoint out of range")
-        u = e.min(axis=1)
-        v = e.max(axis=1)
-        if np.any(u == v):
-            raise GraphError("self-loops are not allowed")
-        order = np.lexsort((v, u))
-        u, v = u[order], v[order]
-        if m > 1 and np.any((u[1:] == u[:-1]) & (v[1:] == v[:-1])):
-            raise GraphError("duplicate edge")
+        u, v = e[:, 0], e[:, 1]
+        canonical = bool(np.all(u < v))
+        if not canonical:
+            if np.any(u == v):
+                raise GraphError("self-loops are not allowed")
+            u, v = np.minimum(u, v), np.maximum(u, v)
+        # Strictly ascending keys u*n + v prove the edges lexsorted and free
+        # of duplicates in one pass; only input that fails it is sorted.
+        keys = u * n
+        keys += v
+        if not np.all(keys[1:] > keys[:-1]):
+            canonical = False
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            if np.any(keys[1:] == keys[:-1]):
+                raise GraphError("duplicate edge")
+            u, v = u[order], v[order]
+        del keys
+        if not canonical:
+            e = np.stack([u, v], axis=1)
+            u, v = e[:, 0], e[:, 1]  # views, so the oriented copies are freed
 
-        self.n = int(n)
-        self.m = int(m)
-        self._edges = np.stack([u, v], axis=1) if m else np.zeros((0, 2), dtype=np.int64)
+        self.n = n
+        self.m = m
+        self._edges = e
         self._edges.setflags(write=False)
 
-        rows = np.concatenate([u, v])
-        cols = np.concatenate([v, u])
-        eids = np.concatenate([np.arange(m, dtype=np.int64)] * 2)
-        half = np.lexsort((cols, rows))
-        self._csr_indices = cols[half]
-        self._csr_edge_ids = eids[half]
-        counts = np.bincount(rows, minlength=n) if m else np.zeros(n, dtype=np.int64)
-        self._csr_indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        self._degrees = counts.astype(np.int64)
+        # Half-edges v -> u of every edge, then u -> v of every edge.  In a
+        # row the first block holds the smaller neighbours and the second the
+        # larger, each ascending, so a stable sort by row leaves every slice
+        # ascending; half-edge h belongs to edge h % m.
+        rows = np.concatenate([v, u])
+        counts = np.bincount(rows, minlength=n)
+        half = np.argsort(rows, kind="stable")
+        del rows
+        self._csr_indices = np.concatenate([u, v])[half]
+        self._csr_edge_ids = np.remainder(half, m, out=half)
+        self._csr_indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=self._csr_indptr[1:])
+        self._degrees = counts
         for arr in (self._csr_indices, self._csr_edge_ids, self._csr_indptr, self._degrees):
             arr.setflags(write=False)
         self._ones = None

@@ -2,11 +2,14 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from treegrowth.graphs import BudgetExceededError, Graph, GraphError
 
@@ -22,33 +25,48 @@ def test_edges_are_canonicalized():
 
 
 def test_rejects_self_loop():
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="self-loops"):
         Graph(3, [(0, 1), (1, 1), (1, 2)])
+    with pytest.raises(GraphError, match="self-loops"):  # checked before duplicates
+        Graph(3, [(0, 1), (0, 1), (2, 2)])
 
 
 def test_rejects_duplicate_even_if_flipped():
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="duplicate edge"):
         Graph(3, [(0, 1), (1, 0), (1, 2)])
+    with pytest.raises(GraphError, match="duplicate edge"):  # checked before connectivity
+        Graph(4, [(0, 1), (0, 1)])
+    with pytest.raises(GraphError, match="duplicate edge"):  # sorted input, equal keys
+        Graph(3, [(0, 1), (0, 1), (1, 2)])
 
 
 def test_rejects_disconnected():
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="connected"):
         Graph(4, [(0, 1), (2, 3)])
 
 
 def test_rejects_out_of_range_endpoint():
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="out of range"):
         Graph(3, [(0, 1), (1, 3)])
+    with pytest.raises(GraphError, match="out of range"):  # checked before self-loops
+        Graph(3, [(1, 1), (0, -1)])
+    with pytest.raises(GraphError, match="integers"):
+        Graph(3, [(0, 1), (1, 2.9)])
+    with pytest.raises(GraphError, match="integers"):
+        Graph(3, np.array([[0, 1], [1, 2]], dtype=np.float64))
 
 
 def test_rejects_empty_vertex_set():
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="at least one vertex"):
         Graph(0, [])
+    with pytest.raises(GraphError, match="vertex count must be an integer"):
+        Graph(3.5, [(0, 1), (1, 2)])
 
 
 def test_single_vertex_graph():
     g = Graph(1, [])
     assert g.n == 1 and g.m == 0
+    assert g.edges.dtype == np.int64 and g.edges.shape == (0, 2)
     assert g.diameter() == 0
     assert g.bfs_distances(0).tolist() == [0]
 
@@ -61,6 +79,62 @@ def test_neighbors_and_edge_ids():
     assert g.edge_id(3, 2) == 3
     with pytest.raises(GraphError):
         g.edge_id(0, 2)
+
+
+# -- CSR layout against the double-lexsort oracle ----------------------------
+
+
+def reference_csr(n: int, edges) -> dict:
+    """The CSR as two lexsorts build it: canonical edges, then half-edges
+    sorted by (row, column)."""
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    m = e.shape[0]
+    u, v = e.min(axis=1), e.max(axis=1)
+    order = np.lexsort((v, u))
+    u, v = u[order], v[order]
+    rows = np.concatenate([u, v])
+    cols = np.concatenate([v, u])
+    eids = np.concatenate([np.arange(m, dtype=np.int64)] * 2)
+    half = np.lexsort((cols, rows))
+    counts = np.bincount(rows, minlength=n) if m else np.zeros(n, dtype=np.int64)
+    return {
+        "edges": np.stack([u, v], axis=1),
+        "adj_indptr": np.concatenate([[0], np.cumsum(counts)]).astype(np.int64),
+        "adj_indices": cols[half],
+        "adj_edge_ids": eids[half],
+        "degrees": counts.astype(np.int64),
+    }
+
+
+@pytest.mark.parametrize("layout", ["canonical", "shuffled", "flipped"])
+@given(g=connected_graphs(min_n=1, max_n=12), data=st.data())
+def test_csr_matches_double_lexsort_oracle(layout, g, data):
+    edges = g.edges.tolist()
+    if layout != "canonical":
+        edges = data.draw(st.permutations(edges))
+    if layout == "flipped":
+        flips = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+        edges = [(v, u) if f else (u, v) for (u, v), f in zip(edges, flips)]
+    built = Graph(g.n, edges)
+    for name, want in reference_csr(g.n, edges).items():
+        got = getattr(built, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+def test_build_peak_memory_on_complete_graph():
+    """Building K_1024 from canonical edges peaks at no more than 12 int64
+    words per edge: the stored CSR, its structure matrix and one sort."""
+    n = 1024
+    edges = np.stack(np.triu_indices(n, 1), axis=1)
+    m = edges.shape[0]
+    tracemalloc.start()
+    try:
+        Graph(n, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 8 * m, f"peak {peak / (8 * m):.1f} words per edge"
 
 
 # -- unweighted geometry -----------------------------------------------------
