@@ -147,7 +147,10 @@ class Graph:
         # row the first block holds the smaller neighbours and the second the
         # larger, each ascending, so a stable sort by row leaves every slice
         # ascending; half-edge h belongs to edge h % m.
-        rows = np.concatenate([v, u])
+        # Rows are keyed by the narrowest type that holds n - 1, which every
+        # endpoint fits: numpy's stable sort radix-sorts 8- and 16-bit keys,
+        # and a stable sort gives the same permutation whatever the key type.
+        rows = np.concatenate([v, u], dtype=np.min_scalar_type(n - 1), casting="unsafe")
         counts = np.bincount(rows, minlength=n)
         half = np.argsort(rows, kind="stable")
         del rows
@@ -358,11 +361,11 @@ class Graph:
         tokens = text.split()
         if len(tokens) < 2:
             raise GraphError("truncated graph header")
-        n, m = int(tokens[0]), int(tokens[1])
+        try:
+            n, m = int(tokens[0]), int(tokens[1])
+            e = np.asarray(tokens[2:], dtype=np.int64)
+        except ValueError:
+            raise GraphError("graph text holds a token that is not an integer") from None
         if len(tokens) != 2 + 2 * m:
             raise GraphError(f"expected {m} edges, found {(len(tokens) - 2) // 2}")
-        if m:
-            e = np.asarray(tokens[2:], dtype=np.int64).reshape(m, 2)
-        else:
-            e = np.zeros((0, 2), dtype=np.int64)
-        return cls(n, e)
+        return cls(n, e.reshape(m, 2))

@@ -1,8 +1,13 @@
 """The two tree-growth processes and their exact small-graph law.
 
 The discrete process repeatedly adds a uniformly random boundary edge
-(exactly one endpoint inside the tree), drawn by rejection from a
-half-edge buffer in O(n + m) per tree.  The continuous process assigns
+(exactly one endpoint inside the tree), drawn by rejection over *slots*,
+the half-edges leaving tree vertices.  A joining vertex's CSR slice enters
+as a lazy *segment* at O(1) Python cost; a batched numpy *flush* turns the
+pending segments into explicit entries and drops stale ones once
+rejections since the last flush exceed a fraction of the slots, and those
+rejections pay for it, so a tree costs O(n + m).  On K_n no flush fires
+and a tree costs about n ln n draws.  The continuous process assigns
 independent unit-rate exponential weights to all edges and takes the
 shortest-path tree; by memorylessness the two processes produce the same
 tree law, which the law-equivalence machinery here verifies empirically
@@ -21,7 +26,9 @@ settles vertices in.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
+from itertools import chain
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,6 +47,16 @@ _BLOCK_EDGES = 1 << 14
 # most this many distinct partial trees after any growth step.
 _LAW_MAX_VERTICES = 9
 _LAW_MAX_STATES = 500_000
+
+# grow_discrete flushes once the rejections since the last flush exceed
+# max(slots // _FLUSH_SHARE, _FLUSH_MIN).  A small flush costs about as much
+# as 20 draws in numpy call overhead, so the floor keeps paths and cycles
+# from flushing every few draws; the share makes the rejections pay for a
+# flush's O(slots) pass.  In an interleaved sweep of per-tree times, a share
+# of 4 slowed Q_12 by 80%, floors of 64 and 128 slowed P_2048 and C_2048 by
+# 30-70%, and shares of 8 to 32 with floors of 16 or 32 were within noise.
+_FLUSH_SHARE = 16
+_FLUSH_MIN = 32
 
 
 class GrowthCertificateError(RuntimeError):
@@ -103,54 +120,103 @@ def sample_edge_weights(g: Graph, stream: np.random.Generator) -> np.ndarray:
 def grow_discrete(g: Graph, s: int, stream: np.random.Generator) -> RootedTree:
     """Grow a spanning tree from ``s`` by adding a uniform boundary edge per step.
 
-    Each edge enters the half-edge buffer once, as (tree end, outside end),
-    when its first endpoint joins.  It goes stale when its outside end joins
-    later, so a draw that lands on it is rejected; conditioned on landing on
-    a live entry, the draw is uniform over the boundary.  The buffer is
-    compacted before a draw when fewer than half of its entries are live, so
-    a draw succeeds with probability at least 1/2.  A compaction costs at
-    most twice the stale entries it drops, and each entry goes stale once,
-    so the whole tree costs O(n + m).
+    The sampler draws over *slots*, each a half-edge (tree end, far end)
+    whose tree end has joined the tree.  A vertex joins as a lazy
+    *segment*: its CSR slice, recorded in O(1) Python work, whose slots are
+    its half-edges.  A flush turns every pending segment into explicit
+    *entries*, one per half-edge whose far end is still outside, and drops
+    the entries whose far end has joined since.  A draw picks a uniform slot
+    among the entries and the segments (bisecting the segments' starting
+    slots) and is rejected when the slot's far end is already in the tree.
+
+    Every boundary edge is exactly one slot, so an accepted draw is uniform
+    over the boundary.  A flush runs once the rejections since the last one
+    exceed max(T // _FLUSH_SHARE, _FLUSH_MIN), T the number of slots, and
+    those rejections pay for its O(T) numpy pass.  Between two flushes the
+    stale slots only grow, so with a accepted draws and S stale slots at
+    the end, the expected rejections are at most a S / (T - S).  Reaching
+    T / 16 of them takes S >= T / 2 or T^2 <= 32 a S, so T <= 2 S + 16 a.
+    Each vertex is accepted once and each half-edge is dropped as stale
+    once, so flushes and rejections cost O(n + m) in expectation.
+
+    On K_n the tree is a random recursive tree.  With k vertices in the
+    tree a draw is accepted with probability (n - k)/(n - 1), so the draws
+    number about sum_k (n - 1)/(n - k), about n ln n, against n(n - 1)/2
+    edges.  The share outgrows the rejections, so no flush fired in trees
+    on K_256 and K_1024.
     """
     if not 0 <= s < g.n:
         raise GraphError(f"start vertex {s} out of range")
     n = g.n
-    indptr, indices = g.adj_indptr, g.adj_indices
-    parent = np.empty(n, dtype=np.int64)  # every vertex but s is assigned
-    parent[s] = -1
-    outside = np.ones(n, dtype=bool)
-    tree_end = np.empty(g.m, dtype=np.int64)
-    out_end = np.empty(g.m, dtype=np.int64)
-    size = live = 0
-    uniforms: list[float] = []
-    j = 0
-    v = s
-    for step in range(n):
-        if step:
-            if 2 * live < size:
-                keep = outside[out_end[:size]]
-                tree_end[:live] = tree_end[:size][keep]
-                out_end[:live] = out_end[:size][keep]
-                size = live
-            while True:
-                if j == len(uniforms):
-                    uniforms = stream.random(2 * (n - step)).tolist()
-                    j = 0
-                i = int(uniforms[j] * size)
-                j += 1
-                v = int(out_end[i])
+    indptr, indices = memoryview(g.adj_indptr), memoryview(g.adj_indices)
+    edge_ids, ends = memoryview(g.adj_edge_ids), memoryview(g.edges.reshape(-1))
+    parent = [-1] * n
+    outside = bytearray(b"\x01") * n
+    outside[s] = 0
+    # Entries are slots 0 .. size - 1, each a CSR position.  Segment k is
+    # the CSR slice of vertex seg_vertex[k]: seg_len[k] slots from
+    # seg_start[k] on, slot i being the CSR position i + seg_shift[k].
+    entry_pos = np.empty(0, dtype=np.int64)
+    entries = memoryview(entry_pos)
+    size = 0
+    seg_vertex, seg_start, seg_shift = [s], [0], [indptr[s]]
+    total = indptr[s + 1] - indptr[s]
+    seg_len = [total]
+    rejects, limit = 0, max(total // _FLUSH_SHARE, _FLUSH_MIN)
+    draws = chain.from_iterable(_uniform_batches(stream, 2 * (n - 1)))
+    for _ in range(n - 1):
+        for x in draws:
+            i = int(x * total)
+            if i < size:
+                pos = entries[i]
+                v = indices[pos]
                 if outside[v]:
+                    e = 2 * edge_ids[pos]
+                    u = ends[e] + ends[e + 1] - v  # the edge's other end
                     break
-            parent[v] = tree_end[i]
-        outside[v] = False
-        nb = indices[indptr[v] : indptr[v + 1]]
-        out = nb[outside[nb]]
-        k = out.size
-        tree_end[size : size + k] = v
-        out_end[size : size + k] = out
-        size += k
-        live += 2 * k - nb.size  # v's edges into the tree are no longer boundary
-    return RootedTree(s, parent)
+            else:
+                k = bisect_right(seg_start, i) - 1
+                v = indices[i + seg_shift[k]]
+                if outside[v]:
+                    u = seg_vertex[k]
+                    break
+            rejects += 1
+            if rejects > limit:
+                entry_pos = _flush(
+                    outside, g.adj_indices, entry_pos, seg_shift, seg_len, total
+                )
+                entries = memoryview(entry_pos)
+                size = total = entry_pos.size
+                seg_vertex, seg_start, seg_shift, seg_len = [], [], [], []
+                rejects, limit = 0, max(total // _FLUSH_SHARE, _FLUSH_MIN)
+        parent[v] = u
+        outside[v] = 0
+        lo, hi = indptr[v], indptr[v + 1]
+        seg_vertex.append(v)
+        seg_start.append(total)
+        seg_shift.append(lo - total)
+        seg_len.append(hi - lo)
+        total += hi - lo
+        limit = max(total // _FLUSH_SHARE, _FLUSH_MIN)
+    return RootedTree(s, np.array(parent, dtype=np.int64))
+
+
+def _uniform_batches(stream: np.random.Generator, size: int):
+    """Batches of uniforms from ``stream``, each twice the last, so a tree
+    takes O(log draws) numpy calls for its randomness."""
+    while True:
+        yield stream.random(size).tolist()
+        size *= 2
+
+
+def _flush(outside, indices, entry_pos, seg_shift, seg_len, total):
+    """CSR positions of the live slots: the entries, then every pending
+    segment's half-edges, each kept when its far end is still outside."""
+    segments = np.arange(entry_pos.size, total) + np.repeat(
+        np.array(seg_shift, dtype=np.int64), np.array(seg_len, dtype=np.int64)
+    )
+    pos = np.concatenate([entry_pos, segments])
+    return pos[np.frombuffer(outside, dtype=bool)[indices[pos]]]
 
 
 # -- first-passage percolation ---------------------------------------------------

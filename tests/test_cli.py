@@ -117,7 +117,8 @@ def test_grow_and_fpp_json(capsys):
     assert len(doc["hitting_times"]) == 4
 
 
-# Captured before grow and fpp ran through the campaign's block code.
+# The fpp line was captured before grow and fpp ran through the campaign's
+# block code; the grow line when grow_discrete began drawing over segments.
 GOLDEN_TRIALS = {
     ("fpp", "--family", "grid", "--d", "2", "--k", "1", "--seed", "3"):
         '{"family": "grid", "n": 4, "s": 0, "master_seed": 3, "process": "fpp",'
@@ -126,7 +127,7 @@ GOLDEN_TRIALS = {
         ' 0.037616660552780866, 0.005127451631514634, 0.8525767143477767]}\n',
     ("grow", "--family", "complete", "--n", "64", "--seed", "5"):
         '{"family": "complete", "n": 64, "s": 0, "master_seed": 5,'
-        ' "process": "discrete", "height": 8}\n',
+        ' "process": "discrete", "height": 9}\n',
 }
 
 

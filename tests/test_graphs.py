@@ -281,3 +281,6 @@ def test_from_text_rejects_truncation():
         Graph.from_text("3")
     with pytest.raises(GraphError):
         Graph.from_text("3 3\n0 1\n0 2\n")
+    for text in ("3 2\n0 1\n1 2.5\n", "3.0 2\n0 1\n1 2\n"):
+        with pytest.raises(GraphError, match="not an integer"):
+            Graph.from_text(text)

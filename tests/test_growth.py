@@ -3,12 +3,17 @@
 The triangle and 4-cycle laws are computed by hand and frozen; larger
 cases are checked structurally (supports equal the spanning-tree count
 from the matrix-tree determinant, probabilities sum to one) and
-statistically against the exact enumeration.  The batched FPP kernel is
-checked bit for bit against a plain heap Dijkstra kept here as an oracle.
+statistically against the exact enumeration.  The discrete sampler is
+checked against the exact law on graphs where its flushes fire, and its
+heights on K_n against the exact height law of random recursive trees; the
+half-edge buffer sampler it replaced is kept here as an oracle with its own
+exact-law check.  The batched FPP kernel is checked bit for bit against a
+plain heap Dijkstra kept here as an oracle.
 """
 
 import dataclasses
 import heapq
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -210,23 +215,194 @@ def test_law_equivalence_rejects_unknown_process_before_enumerating():
         law_equivalence_test(complete(10), 0, 10, stream_for(5, 3), process="walk")
 
 
-def random_recursive_tree_height(n: int, stream: np.random.Generator) -> int:
-    """Height of a random recursive tree: vertex k attaches to a uniform one of 0..k-1."""
-    depth = [0] * n
-    for k, u in enumerate(stream.random(n - 1).tolist(), 1):
-        depth[k] = depth[int(u * k)] + 1
-    return max(depth)
+def grow_discrete_buffer(g: Graph, s: int, stream: np.random.Generator) -> RootedTree:
+    """The half-edge buffer sampler that grow_discrete replaced.
+
+    Each edge enters the buffer once, as (tree end, outside end), when its
+    first endpoint joins, and a draw that lands on a stale entry is
+    rejected.  The buffer is compacted before a draw when fewer than half
+    of its entries are live.
+    """
+    n = g.n
+    indptr, indices = g.adj_indptr, g.adj_indices
+    parent = np.empty(n, dtype=np.int64)
+    parent[s] = -1
+    outside = np.ones(n, dtype=bool)
+    tree_end = np.empty(g.m, dtype=np.int64)
+    out_end = np.empty(g.m, dtype=np.int64)
+    size = live = 0
+    uniforms: list[float] = []
+    j = 0
+    v = s
+    for step in range(n):
+        if step:
+            if 2 * live < size:
+                keep = outside[out_end[:size]]
+                tree_end[:live] = tree_end[:size][keep]
+                out_end[:live] = out_end[:size][keep]
+                size = live
+            while True:
+                if j == len(uniforms):
+                    uniforms = stream.random(2 * (n - step)).tolist()
+                    j = 0
+                i = int(uniforms[j] * size)
+                j += 1
+                v = int(out_end[i])
+                if outside[v]:
+                    break
+            parent[v] = tree_end[i]
+        outside[v] = False
+        nb = indices[indptr[v] : indptr[v + 1]]
+        out = nb[outside[nb]]
+        k = out.size
+        tree_end[size : size + k] = v
+        out_end[size : size + k] = out
+        size += k
+        live += 2 * k - nb.size
+    return RootedTree(s, parent)
 
 
-def test_discrete_height_on_complete_graph_matches_random_recursive_tree():
-    # On K_n every outside vertex has one boundary edge to each tree vertex,
-    # so the new vertex's parent is uniform over the tree (Pittel 1994).
-    n, trials = 64, 2000
+@pytest.mark.parametrize(
+    "g",
+    [complete(3), cycle(4), complete(4), HOUSE],
+    ids=["triangle", "cycle4", "complete4", "house"],
+)
+def test_buffer_oracle_matches_exact_law(g, monkeypatch):
+    monkeypatch.setattr(growth, "grow_discrete", grow_discrete_buffer)
+    cmp = law_equivalence_test(g, 0, 20_000, stream_for(5, 5))
+    assert cmp.support == count_spanning_trees(g)
+    assert cmp.tv_distance < 0.02
+    assert cmp.chi2_pvalue > 1e-3
+
+
+# Graphs on which grow_discrete's flushes fire, so draws land both on
+# explicit entries and on segments: two trees (a path, and a star entered
+# from a leaf when started there) whose only check is the support, and two
+# graphs with cycles.  At the default floor a flush on these graphs seldom
+# finds entries already there; a floor of 1 makes most flushes find some.
+# The law must hold for any trigger.
+FLUSH_GRAPHS = {
+    "path7": path(7),
+    "star8": Graph(9, [(0, leaf) for leaf in range(1, 9)]),
+    "k4_with_3path": Graph(
+        6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (0, 5)]
+    ),
+    "cycle7": cycle(7),
+}
+
+
+@pytest.mark.parametrize("floor", [growth._FLUSH_MIN, 1], ids=lambda f: f"floor{f}")
+@pytest.mark.parametrize("name", list(FLUSH_GRAPHS))
+def test_law_equivalence_where_flushes_fire(name, floor, monkeypatch):
+    g = FLUSH_GRAPHS[name]
+    early = onto_entries = 0  # flushes before the last join; flushes that find entries
+    real = growth._flush
+
+    def counting(outside, indices, entry_pos, *args):
+        nonlocal early, onto_entries
+        early += outside.count(1) >= 2
+        onto_entries += entry_pos.size > 0
+        return real(outside, indices, entry_pos, *args)
+
+    monkeypatch.setattr(growth, "_flush", counting)
+    monkeypatch.setattr(growth, "_FLUSH_MIN", floor)
+    trees = count_spanning_trees(g)
+    for s in range(g.n):
+        cmp = law_equivalence_test(
+            g, s, 1000 if trees == 1 else 10_000, stream_for(29, g.n, g.m, s)
+        )
+        assert cmp.support == trees
+        if trees == 1:
+            assert cmp.tv_distance == 0.0
+        else:
+            assert cmp.chi2_pvalue > 1e-3
+    assert early > 0
+    assert onto_entries > 0 or floor > 1
+
+
+def rrt_height_cdf(n: int, one=1.0, tail: float = 0.0) -> list:
+    """P(H_n <= h) for h = 0, 1, ..., H_n the height of a random recursive
+    tree on n vertices (the discrete tree on K_n, Pittel 1994).
+
+    Recursive trees of height at most h have the exponential generating
+    function T_h, with T_0 = z and T_h' = exp(T_{h-1}) (Drmota, *Random
+    Trees*, 2009), so P(H_n <= h) = [z^(n-1)] exp(T_{h-1}).  Series are
+    cut at degree n - 1 and every term is non-negative, so nothing cancels.
+    Pass ``one=Fraction(1)`` for exact values.  The list stops once
+    1 - P(H_n <= h) is at most ``tail``, and at h = n - 1 in any case.
+    """
+    top = n - 1
+    t = [one * 0] * (top + 1)  # T_0 = z
+    if top:
+        t[1] = one
+    cdf = [one if n == 1 else one * 0]
+    for _ in range(top):
+        e = [one] + [one * 0] * top  # exp(T_{h-1}) by b_k = sum_j j a_j b_{k-j} / k
+        for k in range(1, top + 1):
+            e[k] = sum(j * t[j] * e[k - j] for j in range(1, k + 1)) / k
+        cdf.append(e[top])
+        if 1 - cdf[-1] <= tail:
+            break
+        t = [one * 0] + [e[k - 1] / k for k in range(1, top + 1)]
+    return cdf
+
+
+def tree_height(g: Graph, key: tuple[int, ...], root: int) -> int:
+    """Height of the spanning tree with edge ids ``key``, rooted at ``root``."""
+    adj: dict[int, list[int]] = {v: [] for v in range(g.n)}
+    for e in key:
+        u, v = (int(x) for x in g.edges[e])
+        adj[u].append(v)
+        adj[v].append(u)
+    seen, frontier, height = {root}, [root], -1
+    while frontier:
+        height += 1
+        frontier = [w for v in frontier for w in adj[v] if w not in seen]
+        seen.update(frontier)
+    return height
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_rrt_height_law_matches_exact_law_on_complete_graphs(n):
     g = complete(n)
-    grown = [grow_discrete(g, 0, stream_for(19, t)).height() for t in range(trials)]
-    oracle_stream = stream_for(19, trials)
-    oracle = [random_recursive_tree_height(n, oracle_stream) for _ in range(trials)]
-    assert stats.ks_2samp(grown, oracle).pvalue > 1e-3
+    exact = [Fraction(0)] * n
+    for key, p in exact_discrete_law(g, 0).items():
+        exact[tree_height(g, key, 0)] += p
+    cdf = rrt_height_cdf(n, Fraction(1))
+    assert len(cdf) == n and cdf[-1] == 1
+    assert [cdf[0]] + [b - a for a, b in zip(cdf, cdf[1:])] == exact
+
+
+def test_rrt_height_law_known_values():
+    assert rrt_height_cdf(3, Fraction(1)) == [0, Fraction(1, 2), 1]
+    n = 256
+    cdf = rrt_height_cdf(n, tail=1e-15)
+    pmf = np.diff(cdf, prepend=0.0)
+    h = np.arange(len(cdf))
+    mean = float(pmf @ h)
+    sd = math.sqrt(float(pmf @ h**2) - mean**2)
+    assert mean / math.log(n) == pytest.approx(1.9222, abs=5e-5)
+    assert sd == pytest.approx(1.424, abs=5e-4)
+
+
+@pytest.mark.parametrize(
+    "sampler, n, trials",
+    [(grow_discrete, 64, 2000), (grow_discrete, 256, 1000), (grow_discrete_buffer, 64, 2000)],
+    ids=["segments-64", "segments-256", "buffer-64"],
+)
+def test_discrete_height_on_complete_graph_matches_exact_law(sampler, n, trials):
+    # On K_n every outside vertex has one boundary edge to each tree vertex,
+    # so the new vertex's parent is uniform over the tree: a random
+    # recursive tree.  Heights are binned so every bin expects at least 5.
+    g = complete(n)
+    heights = np.array([sampler(g, 0, stream_for(19, n, t)).height() for t in range(trials)])
+    cdf = np.array(rrt_height_cdf(n, tail=1e-12))
+    cuts = np.flatnonzero((cdf * trials >= 5) & ((1 - cdf) * trials >= 5))
+    edges = np.concatenate([[-1], cuts, [n]])  # bins (edges[i], edges[i + 1]]
+    expected = np.diff(np.concatenate([[0.0], cdf[cuts], [1.0]])) * trials
+    observed = np.histogram(heights, bins=edges + 0.5)[0]
+    assert observed.sum() == trials
+    assert stats.chisquare(observed, expected).pvalue > 1e-3
 
 
 # -- first-passage percolation ------------------------------------------------------
