@@ -45,7 +45,6 @@ __all__ = [
     "build_family",
     "build_tree_decomposition_degenerate",
     "h_edge_mask",
-    "i_edge_mask",
     "plan_family",
     "verify_tree_decomposition",
 ]
@@ -627,11 +626,6 @@ def h_edge_mask(g: Graph, meta: ConstructionMeta) -> np.ndarray:
     if meta.chain_vertex_count is None:
         raise FamilyError(f"{meta.kind} has no chain/tree split")
     return (g.edges < meta.chain_vertex_count).all(axis=1)
-
-
-def i_edge_mask(g: Graph, meta: ConstructionMeta) -> np.ndarray:
-    """True for edges of the bypass tree I (at least one endpoint above H)."""
-    return ~h_edge_mask(g, meta)
 
 
 # -- tree decompositions ------------------------------------------------------------

@@ -5,8 +5,12 @@ A :class:`Graph` is immutable after construction: edges are canonicalized
 (u < v, lexicographically sorted) and the CSR adjacency used by the
 traversal routines is built exactly once, in O(m) passes plus at most two
 stable sorts: one of the edge keys, only when the input is not already
-canonical, and one of the half-edges by row.  All randomness lives
-elsewhere; everything in this module is deterministic.
+canonical, and one of the half-edges by row.  A graph keeps six int64
+words per edge, the edge array and the CSR's columns and edge ids, and a
+seventh once edge ids are looked up.  The scipy structure matrix the
+breadth-first searches run on is built by each query that needs it and
+freed when the query returns.  All randomness lives elsewhere; everything
+in this module is deterministic.
 """
 
 from __future__ import annotations
@@ -71,6 +75,26 @@ class ExpansionProfile:
     inverse_boundary_sum: Fraction
 
 
+def _forest_depths(parent: np.ndarray) -> np.ndarray:
+    """Depth of every vertex of a forest given by parent pointers, -1 at roots.
+
+    Pointer doubling (Wyllie's list ranking): each round adds the depth
+    gained so far at a vertex's pointer and then jumps the pointer twice as
+    far, so a tree of height h takes about log2(h) rounds of numpy work.
+    Raises :class:`GraphError` when some pointers lead to a cycle.
+    """
+    size = parent.size
+    root = parent < 0
+    nxt = np.where(root, np.arange(size), parent)
+    depth = (~root).astype(np.int64)
+    for _ in range(size.bit_length() + 1):
+        if root[nxt].all():
+            return depth
+        depth += depth[nxt]
+        nxt = nxt[nxt]
+    raise GraphError("parent pointers do not all lead to a root")
+
+
 class Graph:
     """Immutable connected simple undirected graph on vertices 0..n-1.
 
@@ -84,6 +108,13 @@ class Graph:
     copy and made read-only.  Other input is sorted once.  The CSR comes
     from one stable sort of the half-edges by row; all index arrays are
     int64.
+
+    What stays resident is the edge array (2 words per edge), the CSR's
+    columns and edge ids (2 words each) and O(n) row pointers and degrees,
+    plus the sorted edge keys once :meth:`edge_ids` has been called.  The
+    connectivity check, :meth:`bfs_distances`, :meth:`eccentricity` and
+    :meth:`diameter` each build a scipy structure matrix of 3 more words
+    per edge and free it on return.
     """
 
     __slots__ = (
@@ -94,7 +125,6 @@ class Graph:
         "_csr_indptr",
         "_csr_indices",
         "_csr_edge_ids",
-        "_ones",
         "_edge_keys",
     )
 
@@ -161,11 +191,8 @@ class Graph:
         self._degrees = counts
         for arr in (self._csr_indices, self._csr_edge_ids, self._csr_indptr, self._degrees):
             arr.setflags(write=False)
-        self._ones = None
         self._edge_keys = None
 
-        # The CSR holds both half-edges, so a directed search is exact and
-        # skips the CSC copy an undirected one makes.
         reached = breadth_first_order(
             self._structure(), 0, directed=True, return_predecessors=False
         )
@@ -203,12 +230,6 @@ class Graph:
 
     def neighbors(self, v: int) -> np.ndarray:
         return self._csr_indices[self._csr_indptr[v] : self._csr_indptr[v + 1]]
-
-    def incident_edge_ids(self, v: int) -> np.ndarray:
-        return self._csr_edge_ids[self._csr_indptr[v] : self._csr_indptr[v + 1]]
-
-    def edge_id(self, u: int, v: int) -> int:
-        return int(self.edge_ids(u, v))
 
     def edge_ids(self, u, v) -> np.ndarray:
         """Ids of the edges {u[i], v[i]}, elementwise; GraphError if any is absent.
@@ -252,27 +273,38 @@ class Graph:
         return csr_matrix((data, self._csr_indices, self._csr_indptr), shape=(self.n, self.n))
 
     def _structure(self) -> csr_matrix:
-        if self._ones is None:
-            data = np.ones(self._csr_indices.size)
-            self._ones = csr_matrix(
-                (data, self._csr_indices, self._csr_indptr), shape=(self.n, self.n)
-            )
-        return self._ones
+        """A fresh scipy matrix of the CSR for the breadth-first searches.
+
+        It holds float64 ones and scipy's int32 copy of the columns, 3 words
+        per edge, so it is never kept: each caller lets it go on return.
+        The CSR holds both half-edges, so a directed search is exact and
+        skips the CSC copy an undirected one makes.
+        """
+        data = np.ones(self._csr_indices.size)
+        return csr_matrix((data, self._csr_indices, self._csr_indptr), shape=(self.n, self.n))
 
     # -- unweighted geometry ---------------------------------------------
 
     def bfs_distances(self, source: int) -> np.ndarray:
-        d = dijkstra(self._structure(), indices=source, unweighted=True)
-        return d.astype(np.int64)
+        """Hop distance from ``source`` to every vertex, as int64.
+
+        scipy's breadth-first search returns the BFS tree's predecessors,
+        and a vertex's depth in that tree is its distance.
+        """
+        _, pred = breadth_first_order(
+            self._structure(), source, directed=True, return_predecessors=True
+        )
+        return _forest_depths(np.where(pred < 0, -1, pred))
 
     def eccentricity(self, source: int) -> int:
         return int(self.bfs_distances(source).max())
 
     def diameter(self) -> int:
+        structure = self._structure()
         best = 0
         for start in range(0, self.n, _DIAMETER_SOURCES):
             idx = np.arange(start, min(start + _DIAMETER_SOURCES, self.n))
-            d = dijkstra(self._structure(), indices=idx, unweighted=True)
+            d = dijkstra(structure, indices=idx, unweighted=True)
             best = max(best, int(d.max()))
         return best
 
@@ -333,11 +365,6 @@ class Graph:
             np.minimum.at(best, pop, cut)
             np.minimum.at(best, n - pop, cut)
         return best
-
-    def min_edge_boundary(self, k: int, budget: int = 24) -> int:
-        if not 0 <= k <= self.n:
-            raise GraphError(f"subset size {k} out of range")
-        return int(self.boundary_minima(budget)[k])
 
     def expansion_profile(self, budget: int = 24) -> ExpansionProfile:
         if self.n < 2:

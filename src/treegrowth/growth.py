@@ -37,6 +37,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from treegrowth.graphs import BudgetExceededError, Graph, GraphError
+from treegrowth.graphs import _forest_depths as forest_depths
 from treegrowth.randomness import sample_exponential
 
 # Cap on B * m for one block of FPP trials: the stacked graph and its outputs
@@ -81,22 +82,12 @@ class RootedTree:
 
 
 def _forest_depths(parent: np.ndarray) -> np.ndarray:
-    """Depth of every vertex of a forest given by parent pointers, -1 at roots.
-
-    Pointer doubling (Wyllie's list ranking): each round adds the depth
-    gained so far at a vertex's pointer and then jumps the pointer twice as
-    far, so a tree of height h takes about log2(h) rounds of numpy work.
-    """
-    size = parent.size
-    root = parent < 0
-    nxt = np.where(root, np.arange(size), parent)
-    depth = (~root).astype(np.int64)
-    for _ in range(size.bit_length() + 1):
-        if root[nxt].all():
-            return depth
-        depth += depth[nxt]
-        nxt = nxt[nxt]
-    raise GrowthCertificateError("parent pointers do not all lead to a root")
+    """:func:`graphs._forest_depths`, with parent pointers that lead to a
+    cycle reported as a failed certificate."""
+    try:
+        return forest_depths(parent)
+    except GraphError as exc:
+        raise GrowthCertificateError(str(exc)) from exc
 
 
 def _tree_edge_ids(g: Graph, parent: np.ndarray, root: int) -> np.ndarray:
@@ -414,5 +405,9 @@ def law_equivalence_test(
     if obs.sum() != trials or abs(exp.sum() - trials) > 1e-8 * trials:
         raise ValueError("observed and expected counts must both sum to the trials")
     tv = 0.5 * float(np.abs(obs - exp).sum()) / trials
+    if len(keys) == 1:
+        # A single tree: every draw is it (unknown trees raised above), and
+        # chi-square with 0 degrees of freedom is undefined, not a fit.
+        return LawComparison(trials, 1, tv, 1.0)
     stat = ((obs - exp) ** 2 / exp).sum()
     return LawComparison(trials, len(keys), tv, float(chdtrc(len(keys) - 1, stat)))

@@ -24,7 +24,6 @@ from treegrowth.families import (
     build_family,
     build_tree_decomposition_degenerate,
     h_edge_mask,
-    i_edge_mask,
     plan_family,
     verify_tree_decomposition,
     _pow2_floor,
@@ -36,6 +35,11 @@ from helpers import to_networkx
 
 def build(kind, **params):
     return build_family(FamilySpec(kind, params))
+
+
+def i_edge_mask(g, meta):
+    """True for edges of the bypass tree I (at least one endpoint above H)."""
+    return ~h_edge_mask(g, meta)
 
 
 # -- simple families -------------------------------------------------------

@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
+from treegrowth.families import FamilySpec, build_family
 from treegrowth.graphs import BudgetExceededError, Graph, GraphError
 
 from helpers import complete, connected_graphs, cycle, path, to_networkx
@@ -75,10 +78,10 @@ def test_neighbors_and_edge_ids():
     g = cycle(4)  # canonical edges (0,1) (0,3) (1,2) (2,3)
     assert g.neighbors(0).tolist() == [1, 3]
     assert g.neighbors(2).tolist() == [1, 3]
-    assert g.incident_edge_ids(0).tolist() == [0, 1]
-    assert g.edge_id(3, 2) == 3
+    assert g.adj_edge_ids[g.adj_indptr[0] : g.adj_indptr[1]].tolist() == [0, 1]
+    assert int(g.edge_ids(3, 2)) == 3
     with pytest.raises(GraphError):
-        g.edge_id(0, 2)
+        g.edge_ids(0, 2)
 
 
 # -- CSR layout against the double-lexsort oracle ----------------------------
@@ -124,7 +127,8 @@ def test_csr_matches_double_lexsort_oracle(layout, g, data):
 
 def test_build_peak_memory_on_complete_graph():
     """Building K_1024 from canonical edges peaks at no more than 12 int64
-    words per edge: the stored CSR, its structure matrix and one sort."""
+    words per edge: the stored CSR, one sort, and the structure matrix the
+    connectivity check builds and frees."""
     n = 1024
     edges = np.stack(np.triu_indices(n, 1), axis=1)
     m = edges.shape[0]
@@ -137,7 +141,60 @@ def test_build_peak_memory_on_complete_graph():
     assert peak <= 12 * 8 * m, f"peak {peak / (8 * m):.1f} words per edge"
 
 
+def test_resident_memory_after_eccentricity_on_complete_graph():
+    """A built K_1024 holds its CSR columns and edge ids, 4 words per edge
+    on top of the caller's canonical edges, and an eccentricity query keeps
+    nothing: its structure matrix is freed on return."""
+    n = 1024
+    edges = np.stack(np.triu_indices(n, 1), axis=1)
+    m = edges.shape[0]
+    tracemalloc.start()
+    try:
+        g = Graph(n, edges)
+        assert g.eccentricity(0) == 1
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert current <= 4.5 * 8 * m, f"resident {current / (8 * m):.1f} words per edge"
+
+
 # -- unweighted geometry -----------------------------------------------------
+
+
+def dijkstra_distances(g: Graph, source: int) -> np.ndarray:
+    """Hop distances as unweighted scipy Dijkstra gives them, cast to int64."""
+    ones = csr_matrix(
+        (np.ones(g.adj_indices.size), g.adj_indices, g.adj_indptr), shape=(g.n, g.n)
+    )
+    return dijkstra(ones, indices=source, unweighted=True).astype(np.int64)
+
+
+def assert_bfs_matches_dijkstra(g: Graph, sources) -> None:
+    for s in sources:
+        got = g.bfs_distances(s)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, dijkstra_distances(g, s)), s
+
+
+@given(connected_graphs(min_n=1, max_n=30), st.data())
+def test_bfs_distances_match_unweighted_dijkstra(g, data):
+    sources = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=4))
+    assert_bfs_matches_dijkstra(g, sources)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        path(40),
+        cycle(41),
+        build_family(FamilySpec("grid", {"d": 8, "k": 1}))[0],
+        build_family(FamilySpec("grid", {"d": 2, "k": 15}))[0],
+        build_family(FamilySpec("glued_G", {"L": 8, "delta": 3, "a": 8.0, "m": 4}))[0],
+    ],
+    ids=["path40", "cycle41", "Q_8", "grid_2_15", "glued_G"],
+)
+def test_bfs_distances_match_unweighted_dijkstra_on_families(g):
+    assert_bfs_matches_dijkstra(g, sorted({0, 1, g.n // 3, g.n // 2, g.n - 1}))
 
 
 def test_bfs_on_path():
@@ -207,9 +264,9 @@ def brute_boundary_minima(g):
 
 
 def test_cycle_and_path_boundaries():
-    assert cycle(6).min_edge_boundary(1) == 2
-    assert cycle(6).min_edge_boundary(3) == 2
-    assert path(4).min_edge_boundary(2) == 1
+    assert cycle(6).boundary_minima()[1] == 2
+    assert cycle(6).boundary_minima()[3] == 2
+    assert path(4).boundary_minima()[2] == 1
 
 
 def test_complete_graph_boundaries():

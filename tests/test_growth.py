@@ -8,7 +8,8 @@ checked against the exact law on graphs where its flushes fire, and its
 heights on K_n against the exact height law of random recursive trees; the
 half-edge buffer sampler it replaced is kept here as an oracle with its own
 exact-law check.  The batched FPP kernel is checked bit for bit against a
-plain heap Dijkstra kept here as an oracle.
+plain heap Dijkstra kept here as an oracle, and its heights on K_n against
+the same random recursive tree law.
 """
 
 import dataclasses
@@ -132,7 +133,7 @@ def test_grow_discrete_returns_spanning_tree(g):
     tree = grow_discrete(g, 0, stream_for(3, 0))
     assert tree.parent[0] == -1
     for v in range(1, g.n):
-        g.edge_id(v, int(tree.parent[v]))  # edge must exist
+        g.edge_ids(v, int(tree.parent[v]))  # edge must exist
     depths = tree.depths()
     assert depths[0] == 0 and depths.max() == tree.height()
 
@@ -185,6 +186,19 @@ def test_law_pvalue_matches_scipy_chisquare(g):
         obs = np.array([counts[k] for k in keys], dtype=np.float64)
         exp = np.array([float(law[k]) * 3000 for k in keys])
         assert cmp.chi2_pvalue == stats.chisquare(f_obs=obs, f_exp=exp).pvalue
+
+
+@pytest.mark.parametrize("process", ["discrete", "fpp"])
+@pytest.mark.parametrize(
+    "g, s",
+    [(path(7), 0), (Graph(9, [(0, leaf) for leaf in range(1, 9)]), 4)],
+    ids=["path7", "star8-from-a-leaf"],
+)
+def test_law_equivalence_on_a_tree_is_a_perfect_fit(g, s, process):
+    # The graph is its only spanning tree: chi-square has 0 degrees of
+    # freedom, and every draw matching the one tree is a p-value of 1.
+    cmp = law_equivalence_test(g, s, 50, stream_for(5, 4), process=process)
+    assert (cmp.trials, cmp.support, cmp.tv_distance, cmp.chi2_pvalue) == (50, 1, 0.0, 1.0)
 
 
 def test_law_equivalence_rejects_a_tree_edge_outside_the_graph(monkeypatch):
@@ -277,7 +291,7 @@ def test_buffer_oracle_matches_exact_law(g, monkeypatch):
 
 # Graphs on which grow_discrete's flushes fire, so draws land both on
 # explicit entries and on segments: two trees (a path, and a star entered
-# from a leaf when started there) whose only check is the support, and two
+# from a leaf when started there), each its own only spanning tree, and two
 # graphs with cycles.  At the default floor a flush on these graphs seldom
 # finds entries already there; a floor of 1 makes most flushes find some.
 # The law must hold for any trigger.
@@ -314,6 +328,7 @@ def test_law_equivalence_where_flushes_fire(name, floor, monkeypatch):
         assert cmp.support == trees
         if trees == 1:
             assert cmp.tv_distance == 0.0
+            assert cmp.chi2_pvalue == 1.0
         else:
             assert cmp.chi2_pvalue > 1e-3
     assert early > 0
@@ -385,6 +400,19 @@ def test_rrt_height_law_known_values():
     assert sd == pytest.approx(1.424, abs=5e-4)
 
 
+def rrt_height_pvalue(heights: np.ndarray, n: int) -> float:
+    """Chi-square p-value of tree heights on K_n against the random
+    recursive tree's height law, binned so every bin expects at least 5."""
+    trials = heights.size
+    cdf = np.array(rrt_height_cdf(n, tail=1e-12))
+    cuts = np.flatnonzero((cdf * trials >= 5) & ((1 - cdf) * trials >= 5))
+    edges = np.concatenate([[-1], cuts, [n]])  # bins (edges[i], edges[i + 1]]
+    expected = np.diff(np.concatenate([[0.0], cdf[cuts], [1.0]])) * trials
+    observed = np.histogram(heights, bins=edges + 0.5)[0]
+    assert observed.sum() == trials
+    return stats.chisquare(observed, expected).pvalue
+
+
 @pytest.mark.parametrize(
     "sampler, n, trials",
     [(grow_discrete, 64, 2000), (grow_discrete, 256, 1000), (grow_discrete_buffer, 64, 2000)],
@@ -393,16 +421,25 @@ def test_rrt_height_law_known_values():
 def test_discrete_height_on_complete_graph_matches_exact_law(sampler, n, trials):
     # On K_n every outside vertex has one boundary edge to each tree vertex,
     # so the new vertex's parent is uniform over the tree: a random
-    # recursive tree.  Heights are binned so every bin expects at least 5.
+    # recursive tree.
     g = complete(n)
     heights = np.array([sampler(g, 0, stream_for(19, n, t)).height() for t in range(trials)])
-    cdf = np.array(rrt_height_cdf(n, tail=1e-12))
-    cuts = np.flatnonzero((cdf * trials >= 5) & ((1 - cdf) * trials >= 5))
-    edges = np.concatenate([[-1], cuts, [n]])  # bins (edges[i], edges[i + 1]]
-    expected = np.diff(np.concatenate([[0.0], cdf[cuts], [1.0]])) * trials
-    observed = np.histogram(heights, bins=edges + 0.5)[0]
-    assert observed.sum() == trials
-    assert stats.chisquare(observed, expected).pvalue > 1e-3
+    assert rrt_height_pvalue(heights, n) > 1e-3
+
+
+def test_fpp_height_on_complete_graph_matches_exact_law():
+    # FPP on K_n joins vertices in order of passage time, and by
+    # memorylessness each new vertex's parent is uniform over the tree: the
+    # same random recursive tree as the discrete process.
+    n, trials = 64, 2000
+    g = complete(n)
+    size = growth.block_size(g)
+    stream = stream_for(37, n)
+    heights = np.concatenate([
+        grow_fpp_block(g, 0, sample_exponential(stream, (min(size, trials - t), g.m))).height
+        for t in range(0, trials, size)
+    ])
+    assert rrt_height_pvalue(heights, n) > 1e-3
 
 
 # -- first-passage percolation ------------------------------------------------------
