@@ -7,11 +7,13 @@ as a lazy *segment* at O(1) Python cost; a batched numpy *flush* turns the
 pending segments into explicit entries and drops stale ones once
 rejections since the last flush exceed a fraction of the slots, and those
 rejections pay for it, so a tree costs O(n + m).  On K_n no flush fires
-and a tree costs about n ln n draws.  The continuous process assigns
-independent unit-rate exponential weights to all edges and takes the
-shortest-path tree; by memorylessness the two processes produce the same
-tree law, which the law-equivalence machinery here verifies empirically
-against an exact enumeration.
+and a tree costs about n ln n draws.  A block of trees from one stream,
+as a law test draws them, shares one set-up and one list of uniforms, and
+each tree is the one that one call after another would grow.  The
+continuous process assigns independent unit-rate exponential weights to
+all edges and takes the shortest-path tree; by memorylessness the two
+processes produce the same tree law, which the law-equivalence machinery
+here verifies empirically against an exact enumeration.
 
 All shortest-path trees come from one kernel, :func:`grow_fpp_block`: a
 block of B weight draws is stacked into one block-diagonal graph and solved
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from itertools import chain
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -135,69 +136,109 @@ def grow_discrete(g: Graph, s: int, stream: np.random.Generator) -> RootedTree:
     number about sum_k (n - 1)/(n - k), about n ln n, against n(n - 1)/2
     edges.  The share outgrows the rejections, so no flush fired in trees
     on K_256 and K_1024.
+
+    A law test grows its trees a block at a time through
+    :func:`_grow_discrete_rows`, which shares the set-up and one list of
+    uniforms across the block; each tree is the one this call would give.
+    """
+    return RootedTree(s, _grow_discrete_rows(g, s, stream, 1)[0])
+
+
+def _grow_discrete_rows(
+    g: Graph, s: int, stream: np.random.Generator, count: int
+) -> np.ndarray:
+    """Parents of ``count`` discrete trees from ``s``, one row per tree, each
+    the tree that the k-th of ``count`` sequential :func:`grow_discrete`
+    calls on ``stream`` would give.
+
+    A tree reads its uniforms in batches, the first 2(n - 1) long and each
+    next one twice the last, and drops what is left of its last batch.  One
+    list holds the stream's uniforms in order: tree k starts where tree
+    k - 1's batches ended.  It starts as every tree's first batch, and when
+    a batch runs past its end it grows to where the batch ends plus the
+    first batches of the trees still to come.  Sequential calls draw at
+    least that much, so the stream ends where ``count`` calls leave it.
     """
     if not 0 <= s < g.n:
         raise GraphError(f"start vertex {s} out of range")
     n = g.n
     indptr, indices = memoryview(g.adj_indptr), memoryview(g.adj_indices)
     edge_ids, ends = memoryview(g.adj_edge_ids), memoryview(g.edges.reshape(-1))
-    parent = [-1] * n
-    outside = bytearray(b"\x01") * n
-    outside[s] = 0
-    # Entries are slots 0 .. size - 1, each a CSR position.  Segment k is
-    # the CSR slice of vertex seg_vertex[k]: seg_len[k] slots from
-    # seg_start[k] on, slot i being the CSR position i + seg_shift[k].
-    entry_pos = np.empty(0, dtype=np.int64)
-    entries = memoryview(entry_pos)
-    size = 0
-    seg_vertex, seg_start, seg_shift = [s], [0], [indptr[s]]
-    total = indptr[s + 1] - indptr[s]
-    seg_len = [total]
-    rejects, limit = 0, max(total // _FLUSH_SHARE, _FLUSH_MIN)
-    draws = chain.from_iterable(_uniform_batches(stream, 2 * (n - 1)))
-    for _ in range(n - 1):
-        for x in draws:
-            i = int(x * total)
-            if i < size:
-                pos = entries[i]
-                v = indices[pos]
-                if outside[v]:
-                    e = 2 * edge_ids[pos]
-                    u = ends[e] + ends[e + 1] - v  # the edge's other end
-                    break
-            else:
-                k = bisect_right(seg_start, i) - 1
-                v = indices[i + seg_shift[k]]
-                if outside[v]:
-                    u = seg_vertex[k]
-                    break
-            rejects += 1
-            if rejects > limit:
-                entry_pos = _flush(
-                    outside, g.adj_indices, entry_pos, seg_shift, seg_len, total
-                )
-                entries = memoryview(entry_pos)
-                size = total = entry_pos.size
-                seg_vertex, seg_start, seg_shift, seg_len = [], [], [], []
-                rejects, limit = 0, max(total // _FLUSH_SHARE, _FLUSH_MIN)
-        parent[v] = u
-        outside[v] = 0
-        lo, hi = indptr[v], indptr[v + 1]
-        seg_vertex.append(v)
-        seg_start.append(total)
-        seg_shift.append(lo - total)
-        seg_len.append(hi - lo)
-        total += hi - lo
-        limit = max(total // _FLUSH_SHARE, _FLUSH_MIN)
-    return RootedTree(s, np.array(parent, dtype=np.int64))
+    rows = np.empty((count, n), dtype=np.int64)
+    parent = memoryview(rows.reshape(-1))
+    no_entries = np.empty(0, dtype=np.int64)
+    first = 2 * (n - 1)
+    uniforms: list[float] = []
 
+    def take(stop: int, batch: int, later: int):
+        """The uniforms at stream positions stop .. stop + batch - 1, with
+        ``later`` trees still to come."""
+        if stop + batch > len(uniforms):
+            uniforms.extend(
+                stream.random(stop + batch + later * first - len(uniforms)).tolist()
+            )
+        return iter(uniforms[stop : stop + batch])
 
-def _uniform_batches(stream: np.random.Generator, size: int):
-    """Batches of uniforms from ``stream``, each twice the last, so a tree
-    takes O(log draws) numpy calls for its randomness."""
-    while True:
-        yield stream.random(size).tolist()
-        size *= 2
+    stop = 0  # where the next tree's uniforms start
+    for k in range(count):
+        row = k * n
+        parent[row + s] = -1
+        outside = bytearray(b"\x01") * n
+        outside[s] = 0
+        # Entries are slots 0 .. size - 1, each a CSR position.  Segment j is
+        # the CSR slice of vertex seg_vertex[j]: seg_len[j] slots from
+        # seg_start[j] on, slot i being the CSR position i + seg_shift[j].
+        entry_pos, entries, size = no_entries, None, 0
+        seg_vertex, seg_start, seg_shift = [s], [0], [indptr[s]]
+        total = indptr[s + 1] - indptr[s]
+        seg_len = [total]
+        rejects, limit = 0, max(total // _FLUSH_SHARE, _FLUSH_MIN)
+        batch = first
+        draws = take(stop, batch, count - k - 1)
+        for _ in range(n - 1):
+            while True:
+                for x in draws:
+                    i = int(x * total)
+                    if i < size:
+                        pos = entries[i]
+                        v = indices[pos]
+                        if outside[v]:
+                            e = 2 * edge_ids[pos]
+                            u = ends[e] + ends[e + 1] - v  # the edge's other end
+                            break
+                    else:
+                        j = bisect_right(seg_start, i) - 1
+                        v = indices[i + seg_shift[j]]
+                        if outside[v]:
+                            u = seg_vertex[j]
+                            break
+                    rejects += 1
+                    if rejects > limit:
+                        entry_pos = _flush(
+                            outside, g.adj_indices, entry_pos, seg_shift, seg_len, total
+                        )
+                        entries = memoryview(entry_pos)
+                        size = total = entry_pos.size
+                        seg_vertex, seg_start, seg_shift, seg_len = [], [], [], []
+                        rejects, limit = 0, max(total // _FLUSH_SHARE, _FLUSH_MIN)
+                else:
+                    # The batch is spent: the next one is twice as long.
+                    stop += batch
+                    batch *= 2
+                    draws = take(stop, batch, count - k - 1)
+                    continue
+                break
+            parent[row + v] = u
+            outside[v] = 0
+            lo, hi = indptr[v], indptr[v + 1]
+            seg_vertex.append(v)
+            seg_start.append(total)
+            seg_shift.append(lo - total)
+            seg_len.append(hi - lo)
+            total += hi - lo
+            limit = max(total // _FLUSH_SHARE, _FLUSH_MIN)
+        stop += batch
+    return rows
 
 
 def _flush(outside, indices, entry_pos, seg_shift, seg_len, total):
@@ -323,6 +364,8 @@ def exact_discrete_law(g: Graph, s: int) -> dict[tuple[int, ...], Fraction]:
     Exhaustive over growth histories, grouped by partial tree, so the cost
     is bounded by the number of distinct subtrees rather than histories.
     """
+    if not 0 <= s < g.n:
+        raise GraphError(f"start vertex {s} out of range")
     if g.n > _LAW_MAX_VERTICES:
         raise BudgetExceededError(f"exact law limited to {_LAW_MAX_VERTICES} vertices")
     eu, ev = g.edges[:, 0], g.edges[:, 1]
@@ -373,10 +416,14 @@ def law_equivalence_test(
     Trees are drawn in blocks of ``block_size(g)`` and each is counted by
     its edge set as a bitmask (the exact law is limited to small graphs, so
     m stays far below 63).  FPP weights for a block are one (c, m) draw,
-    which consumes the stream exactly as c draws of m weights would.
+    which consumes the stream exactly as c draws of m weights would; a
+    block of c discrete trees shares one set-up and one list of uniforms,
+    and consumes the stream exactly as c :func:`grow_discrete` calls would.
     """
     from scipy.special import chdtrc
 
+    if isinstance(trials, bool) or not isinstance(trials, int):
+        raise ValueError(f"the trial count must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     if process not in ("discrete", "fpp"):
@@ -388,7 +435,7 @@ def law_equivalence_test(
     for start in range(0, trials, size):
         c = min(size, trials - start)
         if process == "discrete":
-            parent = np.stack([grow_discrete(g, s, stream).parent for _ in range(c)])
+            parent = _grow_discrete_rows(g, s, stream, c)
         else:
             parent = grow_fpp_block(g, s, sample_exponential(stream, (c, g.m))).parent
         masks = np.bitwise_or.reduce(bits[_tree_edge_ids(g, parent, s)], axis=1)

@@ -4,7 +4,8 @@ The triangle and 4-cycle laws are computed by hand and frozen; larger
 cases are checked structurally (supports equal the spanning-tree count
 from the matrix-tree determinant, probabilities sum to one) and
 statistically against the exact enumeration.  The discrete sampler is
-checked against the exact law on graphs where its flushes fire, and its
+checked against the exact law on graphs where its flushes fire, a law
+test's block of trees bit for bit against one call per tree, and its
 heights on K_n against the exact height law of random recursive trees; the
 half-edge buffer sampler it replaced is kept here as an oracle with its own
 exact-law check.  The batched FPP kernel is checked bit for bit against a
@@ -201,27 +202,52 @@ def test_law_equivalence_on_a_tree_is_a_perfect_fit(g, s, process):
     assert (cmp.trials, cmp.support, cmp.tv_distance, cmp.chi2_pvalue) == (50, 1, 0.0, 1.0)
 
 
+def inject_discrete_sampler(monkeypatch, sampler) -> list[int]:
+    """Make law tests draw their discrete trees from ``sampler``, one call
+    per tree; the returned list counts the trees it grew."""
+    grown = [0]
+
+    def rows(g, s, stream, count):
+        grown[0] += count
+        return np.stack([sampler(g, s, stream).parent for _ in range(count)])
+
+    monkeypatch.setattr(growth, "_grow_discrete_rows", rows)
+    return grown
+
+
 def test_law_equivalence_rejects_a_tree_edge_outside_the_graph(monkeypatch):
-    real = growth.grow_discrete
+    real = growth._grow_discrete_rows
 
     def corrupted(g, s, stream):
-        tree = real(g, s, stream)
-        parent = tree.parent.copy()
+        parent = real(g, s, stream, 1)[0]
         parent[2] = 0  # (0, 2) is a diagonal of the 4-cycle, not an edge
-        return RootedTree(tree.root, parent)
+        return RootedTree(s, parent)
 
-    monkeypatch.setattr(growth, "grow_discrete", corrupted)
+    grown = inject_discrete_sampler(monkeypatch, corrupted)
     with pytest.raises(GrowthCertificateError, match="not an edge"):
         law_equivalence_test(cycle(4), 0, 10, stream_for(5, 3))
+    assert grown[0] == 10
     with pytest.raises(GrowthCertificateError, match="not an edge"):
         corrupted(cycle(4), 0, stream_for(5, 3)).edge_key(cycle(4))
 
 
 def test_law_equivalence_rejects_no_trials_before_enumerating():
     # complete(10) is over the exact law's budget, so reaching the
-    # enumeration would raise BudgetExceededError instead.
-    with pytest.raises(ValueError, match="trial"):
-        law_equivalence_test(complete(10), 0, 0, stream_for(5, 3))
+    # enumeration would raise BudgetExceededError instead.  A bool and a
+    # float are refused as the trial count, not run as 1 or 2.5 trials.
+    for trials in (0, True, 2.5):
+        with pytest.raises(ValueError, match="trial"):
+            law_equivalence_test(complete(10), 0, trials, stream_for(5, 3))
+
+
+@pytest.mark.parametrize("process", ["discrete", "fpp"])
+@pytest.mark.parametrize("s", [4, -1])
+def test_law_equivalence_rejects_a_start_out_of_range(s, process):
+    g = cycle(4)
+    with pytest.raises(GraphError, match=f"start vertex {s} out of range"):
+        exact_discrete_law(g, s)
+    with pytest.raises(GraphError, match=f"start vertex {s} out of range"):
+        law_equivalence_test(g, s, 10, stream_for(5, 3), process=process)
 
 
 def test_law_equivalence_rejects_unknown_process_before_enumerating():
@@ -282,8 +308,9 @@ def grow_discrete_buffer(g: Graph, s: int, stream: np.random.Generator) -> Roote
     ids=["triangle", "cycle4", "complete4", "house"],
 )
 def test_buffer_oracle_matches_exact_law(g, monkeypatch):
-    monkeypatch.setattr(growth, "grow_discrete", grow_discrete_buffer)
+    grown = inject_discrete_sampler(monkeypatch, grow_discrete_buffer)
     cmp = law_equivalence_test(g, 0, 20_000, stream_for(5, 5))
+    assert grown[0] == 20_000
     assert cmp.support == count_spanning_trees(g)
     assert cmp.tv_distance < 0.02
     assert cmp.chi2_pvalue > 1e-3
@@ -333,6 +360,51 @@ def test_law_equivalence_where_flushes_fire(name, floor, monkeypatch):
             assert cmp.chi2_pvalue > 1e-3
     assert early > 0
     assert onto_entries > 0 or floor > 1
+
+
+class CountingStream:
+    """A generator's ``random`` that counts its calls."""
+
+    def __init__(self, stream: np.random.Generator):
+        self.stream, self.calls = stream, 0
+
+    def random(self, size):
+        self.calls += 1
+        return self.stream.random(size)
+
+
+def assert_rows_match_calls(g: Graph, s: int, count: int, seed: tuple) -> int:
+    """A block of ``count`` trees from ``_grow_discrete_rows`` equals
+    ``count`` sequential ``grow_discrete`` calls on a second stream of the
+    same seed, parent for parent, and both streams end in the same place.
+    Returns the number of draws the block took from its stream."""
+    block, calls = CountingStream(stream_for(*seed)), stream_for(*seed)
+    rows = growth._grow_discrete_rows(g, s, block, count)
+    expected = np.stack([grow_discrete(g, s, calls).parent for _ in range(count)])
+    assert rows.dtype == np.int64
+    np.testing.assert_array_equal(rows, expected)
+    np.testing.assert_array_equal(block.random(4), calls.random(4))
+    return block.calls - 1
+
+
+@pytest.mark.parametrize(
+    "g, count",
+    [(HOUSE, growth.block_size(HOUSE)), (cycle(4), growth.block_size(cycle(4))),
+     (complete(64), 5)],
+    ids=["house", "cycle4", "complete64"],
+)
+def test_discrete_rows_match_sequential_calls(g, count):
+    # Trees that outrun their first batch make the block refill its list.
+    assert assert_rows_match_calls(g, 0, count, (31, g.n, g.m)) > 1
+
+
+@pytest.mark.parametrize("floor", [growth._FLUSH_MIN, 1], ids=lambda f: f"floor{f}")
+@pytest.mark.parametrize("name", list(FLUSH_GRAPHS))
+def test_discrete_rows_match_sequential_calls_where_flushes_fire(name, floor, monkeypatch):
+    g = FLUSH_GRAPHS[name]
+    monkeypatch.setattr(growth, "_FLUSH_MIN", floor)
+    for s in range(g.n):
+        assert_rows_match_calls(g, s, 200, (31, g.n, g.m, s))
 
 
 def rrt_height_cdf(n: int, one=1.0, tail: float = 0.0) -> list:
