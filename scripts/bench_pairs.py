@@ -16,7 +16,9 @@ them, and a workload other than the file's own goes under
 ``other_workloads``.  The summary gives each metric's median, and
 with two or more pairs its quartiles, on each side, and the pairs in which
 the change read better, ties counting for neither side; which way is
-better comes from the change's ``BENCHMARK.json``.
+better comes from the change's ``BENCHMARK.json``.  It also counts, on
+each side, the runs whose ``correct`` was false, and the script exits 1
+when any run of the seed had one.
 """
 
 from __future__ import annotations
@@ -77,9 +79,11 @@ def directions(change: Path) -> dict[str, str]:
 
 
 def summarize(runs: dict, better: dict[str, str]) -> dict:
-    """Per metric: each side's median (and quartiles), and pairs won."""
+    """Per metric: each side's median (and quartiles), and pairs won; and
+    under ``runs_not_correct``, each side's count of runs not correct."""
     before, after = runs["before"], runs["after"]
-    out = {}
+    out = {"runs_not_correct": {side: sum(not r["correct"] for r in runs[side])
+                                for side in ("before", "after")}}
     for name in before[0]["metrics"]:
         b = [r["metrics"][name]["value"] for r in before]
         a = [r["metrics"][name]["value"] for r in after]
@@ -154,6 +158,10 @@ def main(argv=None) -> int:
         doc["protocol"] = protocol(doc)
         args.out.parent.mkdir(parents=True, exist_ok=True)
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    wrong = section["summary"][key]["runs_not_correct"]
+    if any(wrong.values()):
+        print(f"runs not correct: {wrong}", file=sys.stderr)
+        return 1
     return 0
 
 

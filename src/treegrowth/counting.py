@@ -342,7 +342,7 @@ def count_report(
                 totals[length] += c
     for length in range(max_length + 1):
         walks = count_walks(g, length)
-        wbound = bound_walks_degenerate(g.n, max(degen, 1), delta, length)
+        wbound = bound_walks_degenerate(g.n, degen, delta, length)
         rows.append(
             CountRow(graph_label, None, length, walks, "degenerate", wbound, walks <= wbound)
         )

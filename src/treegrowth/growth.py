@@ -8,8 +8,8 @@ pending segments into explicit entries and drops stale ones once
 rejections since the last flush exceed a fraction of the slots, and those
 rejections pay for it, so a tree costs O(n + m).  On K_n no flush fires
 and a tree costs about n ln n draws.  A block of trees from one stream,
-as a law test draws them, shares one set-up and one list of uniforms, and
-each tree is the one that one call after another would grow.  The
+as a law test draws them, shares one set-up and reads one run of
+uniforms, each tree starting where the last one stopped reading.  The
 continuous process assigns independent unit-rate exponential weights to
 all edges and takes the shortest-path tree; by memorylessness the two
 processes produce the same tree law, which the law-equivalence machinery
@@ -32,6 +32,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, count as doublings
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -138,8 +139,8 @@ def grow_discrete(g: Graph, s: int, stream: np.random.Generator) -> RootedTree:
     on K_256 and K_1024.
 
     A law test grows its trees a block at a time through
-    :func:`_grow_discrete_rows`, which shares the set-up and one list of
-    uniforms across the block; each tree is the one this call would give.
+    :func:`_grow_discrete_rows`, which shares the set-up and one run of
+    uniforms across the block; its first tree is the one this call gives.
     """
     return RootedTree(s, _grow_discrete_rows(g, s, stream, 1)[0])
 
@@ -147,17 +148,15 @@ def grow_discrete(g: Graph, s: int, stream: np.random.Generator) -> RootedTree:
 def _grow_discrete_rows(
     g: Graph, s: int, stream: np.random.Generator, count: int
 ) -> np.ndarray:
-    """Parents of ``count`` discrete trees from ``s``, one row per tree, each
-    the tree that the k-th of ``count`` sequential :func:`grow_discrete`
-    calls on ``stream`` would give.
+    """Parents of ``count`` independent discrete trees from ``s``, one row
+    per tree.
 
-    A tree reads its uniforms in batches, the first 2(n - 1) long and each
-    next one twice the last, and drops what is left of its last batch.  One
-    list holds the stream's uniforms in order: tree k starts where tree
-    k - 1's batches ended.  It starts as every tree's first batch, and when
-    a batch runs past its end it grows to where the batch ends plus the
-    first batches of the trees still to come.  Sequential calls draw at
-    least that much, so the stream ends where ``count`` calls leave it.
+    The block reads one run of uniforms from ``stream``, drawn in batches
+    of 2(n - 1), 4(n - 1), 8(n - 1), ... as it needs them.  Tree k starts
+    at the uniform after the last one tree k - 1 read, so nothing is
+    skipped and row 0 is the tree :func:`grow_discrete` grows on the same
+    stream.  A tree ends at a stopping time of the run, so the uniforms
+    after it are fresh and the rows are i.i.d.
     """
     if not 0 <= s < g.n:
         raise GraphError(f"start vertex {s} out of range")
@@ -167,19 +166,9 @@ def _grow_discrete_rows(
     rows = np.empty((count, n), dtype=np.int64)
     parent = memoryview(rows.reshape(-1))
     no_entries = np.empty(0, dtype=np.int64)
-    first = 2 * (n - 1)
-    uniforms: list[float] = []
-
-    def take(stop: int, batch: int, later: int):
-        """The uniforms at stream positions stop .. stop + batch - 1, with
-        ``later`` trees still to come."""
-        if stop + batch > len(uniforms):
-            uniforms.extend(
-                stream.random(stop + batch + later * first - len(uniforms)).tolist()
-            )
-        return iter(uniforms[stop : stop + batch])
-
-    stop = 0  # where the next tree's uniforms start
+    draws = chain.from_iterable(
+        stream.random(2 * (n - 1) << k).tolist() for k in doublings()
+    )
     for k in range(count):
         row = k * n
         parent[row + s] = -1
@@ -193,41 +182,31 @@ def _grow_discrete_rows(
         total = indptr[s + 1] - indptr[s]
         seg_len = [total]
         rejects, limit = 0, max(total // _FLUSH_SHARE, _FLUSH_MIN)
-        batch = first
-        draws = take(stop, batch, count - k - 1)
         for _ in range(n - 1):
-            while True:
-                for x in draws:
-                    i = int(x * total)
-                    if i < size:
-                        pos = entries[i]
-                        v = indices[pos]
-                        if outside[v]:
-                            e = 2 * edge_ids[pos]
-                            u = ends[e] + ends[e + 1] - v  # the edge's other end
-                            break
-                    else:
-                        j = bisect_right(seg_start, i) - 1
-                        v = indices[i + seg_shift[j]]
-                        if outside[v]:
-                            u = seg_vertex[j]
-                            break
-                    rejects += 1
-                    if rejects > limit:
-                        entry_pos = _flush(
-                            outside, g.adj_indices, entry_pos, seg_shift, seg_len, total
-                        )
-                        entries = memoryview(entry_pos)
-                        size = total = entry_pos.size
-                        seg_vertex, seg_start, seg_shift, seg_len = [], [], [], []
-                        rejects, limit = 0, max(total // _FLUSH_SHARE, _FLUSH_MIN)
+            for x in draws:
+                i = int(x * total)
+                if i < size:
+                    pos = entries[i]
+                    v = indices[pos]
+                    if outside[v]:
+                        e = 2 * edge_ids[pos]
+                        u = ends[e] + ends[e + 1] - v  # the edge's other end
+                        break
                 else:
-                    # The batch is spent: the next one is twice as long.
-                    stop += batch
-                    batch *= 2
-                    draws = take(stop, batch, count - k - 1)
-                    continue
-                break
+                    j = bisect_right(seg_start, i) - 1
+                    v = indices[i + seg_shift[j]]
+                    if outside[v]:
+                        u = seg_vertex[j]
+                        break
+                rejects += 1
+                if rejects > limit:
+                    entry_pos = _flush(
+                        outside, g.adj_indices, entry_pos, seg_shift, seg_len, total
+                    )
+                    entries = memoryview(entry_pos)
+                    size = total = entry_pos.size
+                    seg_vertex, seg_start, seg_shift, seg_len = [], [], [], []
+                    rejects, limit = 0, max(total // _FLUSH_SHARE, _FLUSH_MIN)
             parent[row + v] = u
             outside[v] = 0
             lo, hi = indptr[v], indptr[v + 1]
@@ -237,7 +216,6 @@ def _grow_discrete_rows(
             seg_len.append(hi - lo)
             total += hi - lo
             limit = max(total // _FLUSH_SHARE, _FLUSH_MIN)
-        stop += batch
     return rows
 
 
@@ -417,8 +395,8 @@ def law_equivalence_test(
     its edge set as a bitmask (the exact law is limited to small graphs, so
     m stays far below 63).  FPP weights for a block are one (c, m) draw,
     which consumes the stream exactly as c draws of m weights would; a
-    block of c discrete trees shares one set-up and one list of uniforms,
-    and consumes the stream exactly as c :func:`grow_discrete` calls would.
+    block of c discrete trees shares one set-up and one run of uniforms,
+    each tree reading on from where the last one stopped.
     """
     from scipy.special import chdtrc
 

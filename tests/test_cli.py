@@ -163,6 +163,19 @@ def test_count_csv(capsys):
     assert all(line.endswith(",true") for line in lines[1:])
 
 
+@pytest.mark.parametrize(
+    "family",
+    [["--family", "complete", "--n", "1"], ["--family", "ladder_H", "--L", "1", "--delta", "1"]],
+    ids=["complete1", "ladder_H-1-1"],
+)
+def test_count_on_one_vertex(family, capsys):
+    # Max degree and degeneracy are both 0, and every count is within its bound.
+    assert main(["count", *family]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) > 1
+    assert all(line.endswith(",true") for line in lines[1:])
+
+
 def test_expt_runs_twice_byte_identical(tmp_path, capsys):
     config = _expt_config(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -5,7 +5,9 @@ cases are checked structurally (supports equal the spanning-tree count
 from the matrix-tree determinant, probabilities sum to one) and
 statistically against the exact enumeration.  The discrete sampler is
 checked against the exact law on graphs where its flushes fire, a law
-test's block of trees bit for bit against one call per tree, and its
+test's block of trees bit for bit against one call per tree, each call
+reading on from the uniform after the last one the call before read (the
+first on a fresh stream, the rest on tapes that end in NaN), and its
 heights on K_n against the exact height law of random recursive trees; the
 half-edge buffer sampler it replaced is kept here as an oracle with its own
 exact-law check.  The batched FPP kernel is checked bit for bit against a
@@ -16,6 +18,8 @@ the same random recursive tree law.
 import dataclasses
 import heapq
 import math
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +29,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from treegrowth import growth
+from treegrowth.families import FamilySpec, build_family
 from treegrowth.graphs import BudgetExceededError, Graph, GraphError
 from treegrowth.growth import (
     GrowthCertificateError,
@@ -173,17 +178,21 @@ def test_law_equivalence_fpp():
 def test_law_pvalue_matches_scipy_chisquare(g):
     law = exact_discrete_law(g, 0)
     keys = sorted(law)
+    size = growth.block_size(g)
     for process in ("fpp", "discrete"):
         cmp = law_equivalence_test(g, 0, 3000, stream_for(5, 4), process=process)
         stream = stream_for(5, 4)
-        counts = dict.fromkeys(keys, 0)
-        for _ in range(3000):
-            if process == "fpp":
-                w = sample_edge_weights(g, stream)[None, :]
-                tree = RootedTree(0, grow_fpp_block(g, 0, w).parent[0])
-            else:
-                tree = grow_discrete(g, 0, stream)
-            counts[tree.edge_key(g)] += 1
+        if process == "fpp":
+            parents = [
+                grow_fpp_block(g, 0, sample_edge_weights(g, stream)[None, :]).parent[0]
+                for _ in range(3000)
+            ]
+        else:
+            parents = np.concatenate([
+                growth._grow_discrete_rows(g, 0, stream, min(size, 3000 - start))
+                for start in range(0, 3000, size)
+            ])
+        counts = Counter(RootedTree(0, parent).edge_key(g) for parent in parents)
         obs = np.array([counts[k] for k in keys], dtype=np.float64)
         exp = np.array([float(law[k]) * 3000 for k in keys])
         assert cmp.chi2_pvalue == stats.chisquare(f_obs=obs, f_exp=exp).pvalue
@@ -363,28 +372,73 @@ def test_law_equivalence_where_flushes_fire(name, floor, monkeypatch):
 
 
 class CountingStream:
-    """A generator's ``random`` that counts its calls."""
+    """A generator's ``random`` that counts its calls and the uniforms it
+    hands out."""
 
     def __init__(self, stream: np.random.Generator):
-        self.stream, self.calls = stream, 0
+        self.stream, self.calls, self.drawn = stream, 0, 0
 
     def random(self, size):
         self.calls += 1
+        self.drawn += size
         return self.stream.random(size)
+
+
+class Tape:
+    """A stream that serves ``uniforms`` in order and NaN after them.  A tree
+    that reads past the end raises ValueError, since ``int(nan * total)``
+    does."""
+
+    def __init__(self, uniforms: np.ndarray):
+        self.uniforms, self.at = uniforms, 0
+
+    def random(self, size):
+        out = np.full(size, np.nan)
+        part = self.uniforms[self.at : self.at + size]
+        out[: part.size] = part
+        self.at += size
+        return out
+
+
+def first_tree(g: Graph, s: int, uniforms: np.ndarray) -> tuple[np.ndarray, int]:
+    """The parents ``grow_discrete`` grows from the head of ``uniforms``, and
+    the fewest uniforms it needs to, found by doubling and then binary
+    search over tapes of the head."""
+
+    def grows(length: int) -> bool:
+        try:
+            grow_discrete(g, s, Tape(uniforms[:length]))
+        except ValueError:
+            return False
+        return True
+
+    lo = hi = g.n - 1
+    while not grows(hi):
+        assert hi < uniforms.size, "the tape ran out"
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if grows(mid) else (mid + 1, hi)
+    return grow_discrete(g, s, Tape(uniforms[:lo])).parent, lo
 
 
 def assert_rows_match_calls(g: Graph, s: int, count: int, seed: tuple) -> int:
     """A block of ``count`` trees from ``_grow_discrete_rows`` equals
-    ``count`` sequential ``grow_discrete`` calls on a second stream of the
-    same seed, parent for parent, and both streams end in the same place.
-    Returns the number of draws the block took from its stream."""
-    block, calls = CountingStream(stream_for(*seed)), stream_for(*seed)
+    sequential ``grow_discrete`` calls that each read on from the uniform
+    after the last one the call before read: row 0 is the call on a fresh
+    stream of the same seed, and row k the first tree grown from the
+    uniforms after those rows 0 .. k - 1 read.  Returns the number of
+    batches the block drew from its stream."""
+    block = CountingStream(stream_for(*seed))
     rows = growth._grow_discrete_rows(g, s, block, count)
-    expected = np.stack([grow_discrete(g, s, calls).parent for _ in range(count)])
     assert rows.dtype == np.int64
-    np.testing.assert_array_equal(rows, expected)
-    np.testing.assert_array_equal(block.random(4), calls.random(4))
-    return block.calls - 1
+    np.testing.assert_array_equal(rows[0], grow_discrete(g, s, stream_for(*seed)).parent)
+    uniforms, at = stream_for(*seed).random(block.drawn), 0
+    for k, row in enumerate(rows):
+        parent, read = first_tree(g, s, uniforms[at:])
+        np.testing.assert_array_equal(row, parent, err_msg=f"tree {k}")
+        at += read
+    return block.calls
 
 
 @pytest.mark.parametrize(
@@ -394,7 +448,7 @@ def assert_rows_match_calls(g: Graph, s: int, count: int, seed: tuple) -> int:
     ids=["house", "cycle4", "complete64"],
 )
 def test_discrete_rows_match_sequential_calls(g, count):
-    # Trees that outrun their first batch make the block refill its list.
+    # The block reads past its first batch, so trees run across batches.
     assert assert_rows_match_calls(g, 0, count, (31, g.n, g.m)) > 1
 
 
@@ -405,6 +459,21 @@ def test_discrete_rows_match_sequential_calls_where_flushes_fire(name, floor, mo
     monkeypatch.setattr(growth, "_FLUSH_MIN", floor)
     for s in range(g.n):
         assert_rows_match_calls(g, s, 200, (31, g.n, g.m, s))
+
+
+def test_discrete_tree_holds_one_batch_at_a_time():
+    # One tree on K_2048 reads about n ln n uniforms in batches of 2(n - 1),
+    # 4(n - 1), ...; only the batch being read is held, as a Python list of
+    # floats of 32 bytes each.  The peak reads 5.1 * 96n bytes; holding
+    # every batch drawn, spent ones included, read 7.1 * 96n.
+    g, _ = build_family(FamilySpec("complete", {"n": 2048}))
+    tracemalloc.start()
+    try:
+        grow_discrete(g, 0, stream_for(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 96 * g.n
 
 
 def rrt_height_cdf(n: int, one=1.0, tail: float = 0.0) -> list:
