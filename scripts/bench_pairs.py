@@ -16,7 +16,11 @@ them, and a workload other than the file's own goes under
 ``other_workloads``.  The summary gives each metric's median, and
 with two or more pairs its quartiles, on each side, and the pairs in which
 the change read better, ties counting for neither side; which way is
-better comes from the change's ``BENCHMARK.json``.  It also counts, on
+better comes from the change's ``BENCHMARK.json``.  Each metric also gets
+``after_over_before``, the ratio of the medians (null when the parent's
+median is 0), and ``gain_rule_met``: at least ten pairs, the change better
+in at least nine tenths of them, and its median better than the parent's
+by more than the parent's interquartile range.  The summary counts, on
 each side, the runs whose ``correct`` was false, and the script exits 1
 when any run of the seed had one.
 """
@@ -79,8 +83,9 @@ def directions(change: Path) -> dict[str, str]:
 
 
 def summarize(runs: dict, better: dict[str, str]) -> dict:
-    """Per metric: each side's median (and quartiles), and pairs won; and
-    under ``runs_not_correct``, each side's count of runs not correct."""
+    """Per metric: each side's median (and quartiles), pairs won, the ratio
+    of the medians and whether the gain rule is met; and under
+    ``runs_not_correct``, each side's count of runs not correct."""
     before, after = runs["before"], runs["after"]
     out = {"runs_not_correct": {side: sum(not r["correct"] for r in runs[side])
                                 for side in ("before", "after")}}
@@ -95,7 +100,14 @@ def summarize(runs: dict, better: dict[str, str]) -> dict:
             if len(values) >= 2:
                 q1, _, q3 = quantiles(values, n=4)
                 sides[side].update(q1=q1, q3=q3)
-        out[name] = {**sides, "after_better_in_pairs": f"{won}/{len(b)}"}
+        before_median, after_median = sides["before"]["median"], sides["after"]["median"]
+        gain = (len(b) >= 10 and 10 * won >= 9 * len(b)
+                and sign * (after_median - before_median)
+                > sides["before"]["q3"] - sides["before"]["q1"])
+        out[name] = {**sides, "after_better_in_pairs": f"{won}/{len(b)}",
+                     "after_over_before": (after_median / before_median
+                                           if before_median else None),
+                     "gain_rule_met": gain}
     return out
 
 

@@ -103,8 +103,9 @@ def _tree_edge_ids(g: Graph, parent: np.ndarray, root: int) -> np.ndarray:
         ) from exc
 
 
-def sample_edge_weights(g: Graph, stream: np.random.Generator) -> np.ndarray:
-    return sample_exponential(stream, g.m)
+def sample_edge_weights(g: Graph, stream: np.random.Generator, out=None) -> np.ndarray:
+    """One unit-rate exponential weight per edge, drawn into ``out`` if given."""
+    return sample_exponential(stream, g.m, out=out)
 
 
 # -- discrete boundary-edge process ------------------------------------------

@@ -454,7 +454,7 @@ def _run_block(ctx: _TrialContext, trials: range) -> list[TrialRecord]:
             stream = stream_for(
                 spec.master_seed, spec.experiment_id, trial, WEIGHT_CHANNEL
             )
-            weights[i] = sample_edge_weights(ctx.g, stream)
+            sample_edge_weights(ctx.g, stream, out=weights[i])
         block = grow_fpp_block(ctx.g, ctx.s, weights)
         heights = block.height.tolist()
         for h in heights:

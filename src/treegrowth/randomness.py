@@ -8,7 +8,11 @@ is scheduled across processes.
 Exponential variates are drawn by inverse CDF (-log(1 - U)) rather than
 the generator's ziggurat method: the same uniform stream then yields the
 same weights everywhere, which the law-equivalence and replay tests rely
-on.
+on.  Array draws run in place in the array that receives the uniforms, so
+a draw of n variates holds 8n bytes at its peak and no temporaries, and
+gives the same floats as the plain expression -log1p(-U) / rate.  Erlang
+sums keep one accumulator and one draw buffer; the two-stage sampler
+allocates its chunk buffers once.
 
 The two-stage minimum is drawn through the identity min of b independent
 Exp(1) variables ~ Exp(1)/b: each child's cheapest leaf edge is one draw at
@@ -31,16 +35,38 @@ def stream_for(master_seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def sample_exponential(stream: np.random.Generator, size=None, rate: float = 1.0):
-    u = stream.random(size)
-    return -np.log1p(-u) / rate
+def sample_exponential(
+    stream: np.random.Generator, size=None, rate: float = 1.0, out=None
+):
+    """Exponential variates at ``rate`` by inverse CDF, -log1p(-U) / rate.
+
+    An array draw fills ``out`` (a new array when it is None) with uniforms
+    and turns them into variates in place, one elementwise pass per step of
+    the expression, so its peak memory is the array itself; the floats are
+    those of the plain expression.  The division is skipped at rate 1,
+    where it is exact.  ``size=None`` without ``out`` draws one float.
+    """
+    if not (rate > 0 and math.isfinite(rate)):
+        raise ValueError(f"rate must be positive and finite, got {rate}")
+    u = stream.random(size, out=out)
+    if size is None and out is None:
+        return -np.log1p(-u) / rate
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    np.negative(u, out=u)
+    if rate != 1:
+        u /= rate
+    return u
 
 
 def sample_erlang(stream: np.random.Generator, k: int, size: int) -> np.ndarray:
-    """Sum of k unit-rate exponentials."""
+    """Sum of k unit-rate exponentials, drawn one at a time into one buffer."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     out = np.zeros(size)
+    buf = np.empty(size)
     for _ in range(k):
-        out += sample_exponential(stream, size)
+        out += sample_exponential(stream, size, out=buf)
     return out
 
 
@@ -53,18 +79,20 @@ def sample_two_stage_min(
     carries an independent unit-rate exponential weight.  A child's b leaf
     edges only matter through their minimum, which is Exp(1)/b, so each
     sample takes a child draws and a leaf-minimum draws at rate b: exactly
-    2a uniforms.  Rows are drawn in chunks of at most 2**20 values per array
-    to bound memory.
+    2a uniforms.  Rows are drawn in chunks of at most 2**20 values per array,
+    into two buffers allocated once, to bound memory.
     """
     if a < 1 or b < 1:
         raise ValueError(f"branching must be >= 1, got a={a}, b={b}")
     out = np.empty(size)
     chunk = max(1, (1 << 20) // a)
+    child = np.empty((min(chunk, size), a))
+    leaf = np.empty_like(child)
     for start in range(0, size, chunk):
         c = min(chunk, size - start)
-        child = sample_exponential(stream, (c, a))
-        leaf = sample_exponential(stream, (c, a), rate=b)
-        out[start : start + c] = (child + leaf).min(axis=1)
+        ch = sample_exponential(stream, (c, a), out=child[:c])
+        ch += sample_exponential(stream, (c, a), rate=b, out=leaf[:c])
+        ch.min(axis=1, out=out[start : start + c])
     return out
 
 
@@ -130,9 +158,15 @@ def _row(threshold: float, phat: float, bound: float, trials: int) -> TailCheckR
     )
 
 
+def _require_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+
+
 def check_erlang_head(
     stream: np.random.Generator, k: int, d: float, trials: int
 ) -> TailCheckReport:
+    _require_trials(trials)
     x = sample_erlang(stream, k, trials)
     t = k / d
     phat = float(np.mean(x <= t))
@@ -143,6 +177,7 @@ def check_erlang_head(
 def check_erlang_tail(
     stream: np.random.Generator, k: int, t_values, trials: int
 ) -> TailCheckReport:
+    _require_trials(trials)
     x = sample_erlang(stream, k, trials)
     rows = []
     for t in t_values:
@@ -154,6 +189,7 @@ def check_erlang_tail(
 def check_two_stage_tail(
     stream: np.random.Generator, a: int, b: int, t_values, trials: int
 ) -> TailCheckReport:
+    _require_trials(trials)
     y = sample_two_stage_min(stream, a, b, trials)
     rows = []
     for t in t_values:
@@ -165,6 +201,9 @@ def check_two_stage_tail(
 def check_two_stage_sum(
     stream: np.random.Generator, a: int, b: int, m: int, trials: int
 ) -> TailCheckReport:
+    _require_trials(trials)
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     total = np.zeros(trials)
     for _ in range(m):
         total += sample_two_stage_min(stream, a, b, trials)

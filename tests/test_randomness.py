@@ -6,14 +6,20 @@ two-stage minimum, drawn through the identity min of b Exp(1) ~ Exp(1)/b,
 is checked against the literal sampler that draws every edge of the tree,
 and against an independent second implementation for the b = 1 case, where
 it collapses to a minimum of Erlang(2) variables.
+
+The samplers draw in place; the plain formulas they replace are kept here
+as bit-for-bit oracles, read from a twin stream of the same seed.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from treegrowth.families import FamilySpec, build_family
+from treegrowth.growth import sample_edge_weights
 from treegrowth.randomness import (
     check_erlang_head,
     check_erlang_tail,
@@ -42,6 +48,88 @@ def literal_two_stage_min(stream, a, b, size):
         leaf = sample_exponential(stream, (c, a, b))
         out[start : start + c] = (child + leaf.min(axis=2)).min(axis=1)
     return out
+
+
+def plain_exponential(stream, size=None, rate=1.0):
+    """Oracle: the inverse-CDF expression, with its temporaries."""
+    return -np.log1p(-stream.random(size)) / rate
+
+
+def plain_erlang(stream, k, size):
+    """Oracle: a zero array plus k plain draws."""
+    out = np.zeros(size)
+    for _ in range(k):
+        out += plain_exponential(stream, size)
+    return out
+
+
+def plain_two_stage_min(stream, a, b, size):
+    """Oracle: the Exp(1)/b identity in chunks of 2**20 values, fresh arrays
+    every chunk."""
+    out = np.empty(size)
+    chunk = max(1, (1 << 20) // a)
+    for start in range(0, size, chunk):
+        c = min(chunk, size - start)
+        child = plain_exponential(stream, (c, a))
+        leaf = plain_exponential(stream, (c, a), rate=b)
+        out[start : start + c] = (child + leaf).min(axis=1)
+    return out
+
+
+def assert_same_draw(draw, oracle, seed):
+    """draw and oracle, each called on a stream of ``seed``, give equal
+    floats and leave their streams at the same next uniform."""
+    stream, twin = stream_for(*seed), stream_for(*seed)
+    x, y = draw(stream), oracle(twin)
+    assert np.shape(x) == np.shape(y)
+    assert np.array_equal(x, y)
+    assert stream.random() == twin.random()
+
+
+@pytest.mark.parametrize("rate", [1, 3.0, 4], ids=["rate1", "rate3.0", "int4"])
+@pytest.mark.parametrize("size", [None, 0, 1000, (30, 7), (4, 5, 6)],
+                         ids=["scalar", "zero", "int", "2d", "3d"])
+def test_exponential_matches_plain_expression_bit_for_bit(size, rate):
+    assert_same_draw(lambda s: sample_exponential(s, size, rate=rate),
+                     lambda s: plain_exponential(s, size, rate), (29, 0))
+
+
+@pytest.mark.parametrize("size", [0, 1000, (30, 7)], ids=["zero", "int", "2d"])
+@pytest.mark.parametrize("k", [1, 4])
+def test_erlang_matches_plain_sum_bit_for_bit(k, size):
+    assert_same_draw(lambda s: sample_erlang(s, k, size),
+                     lambda s: plain_erlang(s, k, size), (29, 1, k))
+
+
+@pytest.mark.parametrize(
+    "a, b, size",
+    [(8, 4, 1000), (16, 16, 70_000), (2**20 + 1, 3, 3), (4, 2, 0)],
+    ids=["one-chunk", "two-chunks", "a-above-chunk", "zero"],
+)
+def test_two_stage_min_matches_plain_chunks_bit_for_bit(a, b, size):
+    # 70 000 rows at a = 16 span two chunks; at a = 2**20 + 1 each row is
+    # a chunk of its own.
+    assert_same_draw(lambda s: sample_two_stage_min(s, a, b, size),
+                     lambda s: plain_two_stage_min(s, a, b, size), (29, 2, a))
+
+
+@pytest.mark.parametrize("rate", [1.0, 3.0])
+def test_exponential_out_is_the_array_given(rate):
+    # A row view of a (B, m) matrix, as the harness draws a block's weights.
+    weights = np.zeros((3, 11))
+    row = weights[1]
+    x = sample_exponential(stream_for(29, 3), 11, rate=rate, out=row)
+    assert x is row
+    assert np.array_equal(weights[1], plain_exponential(stream_for(29, 3), 11, rate))
+    assert not weights[0].any() and not weights[2].any()
+
+
+def test_edge_weights_out_is_the_array_given():
+    g, _ = build_family(FamilySpec("grid", {"d": 2, "k": 2}))
+    weights = np.empty((2, g.m))
+    row = weights[0]
+    assert sample_edge_weights(g, stream_for(29, 4), out=row) is row
+    assert np.array_equal(row, sample_edge_weights(g, stream_for(29, 4)))
 
 
 def test_streams_are_reproducible():
@@ -168,3 +256,80 @@ def test_decision_rule_rejects_clear_violation():
     assert _row(1.0, phat=0.09, bound=0.1, trials=10_000).passed
     # Within-noise excess is tolerated.
     assert _row(1.0, phat=0.102, bound=0.1, trials=10_000).passed
+
+
+# -- invalid parameters: rejected before any uniform is drawn ----------------
+
+
+def assert_rejects_before_drawing(call, match):
+    stream = stream_for(31, 0)
+    with pytest.raises(ValueError, match=match):
+        call(stream)
+    assert stream.random() == stream_for(31, 0).random()
+
+
+@pytest.mark.parametrize("rate", [0, 0.0, -1.0, -1, math.inf, math.nan])
+@pytest.mark.parametrize("size", [None, 10])
+def test_exponential_rejects_rates_not_positive_and_finite(rate, size):
+    assert_rejects_before_drawing(
+        lambda s: sample_exponential(s, size, rate=rate), "rate")
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: check_erlang_head(s, 10, 8, 0),
+    lambda s: check_erlang_tail(s, 10, [3.0], 0),
+    lambda s: check_two_stage_tail(s, 8, 4, [1.0], 0),
+    lambda s: check_two_stage_sum(s, 8, 4, 9, 0),
+    lambda s: check_two_stage_sum(s, 8, 4, 9, -5),
+], ids=["erlang_head", "erlang_tail", "two_stage_tail", "two_stage_sum", "negative"])
+def test_checks_reject_zero_trials(call):
+    assert_rejects_before_drawing(call, "trials")
+
+
+@pytest.mark.parametrize("k", [0, -2])
+@pytest.mark.parametrize("check", [
+    lambda s, k: check_erlang_head(s, k, 8, 1000),
+    lambda s, k: check_erlang_tail(s, k, [3.0], 1000),
+    lambda s, k: sample_erlang(s, k, 1000),
+], ids=["erlang_head", "erlang_tail", "sample_erlang"])
+def test_erlang_rejects_k_below_one(check, k):
+    assert_rejects_before_drawing(lambda s: check(s, k), "k must be")
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_two_stage_sum_rejects_m_below_one(m):
+    assert_rejects_before_drawing(
+        lambda s: check_two_stage_sum(s, 8, 4, m, 1000), "m must be")
+
+
+# -- peak memory, in units of one output array (8 * size bytes) ---------------
+
+
+def peak_in_outputs(draw, size):
+    tracemalloc.start()
+    try:
+        draw()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * size)
+
+
+def test_exponential_draws_in_the_output_array():
+    # The expression with its temporaries reads 3.0; in place reads 1.0.
+    size = 10**6
+    assert peak_in_outputs(lambda: sample_exponential(stream_for(37, 0), size), size) <= 1.5
+
+
+def test_erlang_holds_one_accumulator_and_one_buffer():
+    # Fresh arrays every step read 4.0; one accumulator and one buffer, 2.0.
+    size = 10**6
+    assert peak_in_outputs(lambda: sample_erlang(stream_for(37, 1), 10, size), size) <= 2.5
+
+
+def test_two_stage_min_allocates_its_chunk_buffers_once():
+    # Fresh arrays every chunk read 6.24; the output and two (2**17, 8)
+    # buffers, 3.10.
+    size = 10**6
+    assert peak_in_outputs(
+        lambda: sample_two_stage_min(stream_for(37, 2), 8, 4, size), size) <= 4
