@@ -51,9 +51,11 @@ def sample_exponential(
     u = stream.random(size, out=out)
     if size is None and out is None:
         return -np.log1p(-u) / rate
-    np.negative(u, out=u)
-    np.log1p(u, out=u)
-    np.negative(u, out=u)
+    # out passed by position: cheaper per call than out=, which shows on
+    # one small draw per trial.
+    np.negative(u, u)
+    np.log1p(u, u)
+    np.negative(u, u)
     if rate != 1:
         u /= rate
     return u
