@@ -33,7 +33,7 @@ from .counting import (
     bound_paths_genus,
     bound_walks_degenerate,
     count_simple_paths_upto,
-    count_walks,
+    count_walks_upto,
 )
 from .families import E2, FamilySpec, build_family
 from .graphs import Graph
@@ -284,8 +284,7 @@ def criterion_6(workers: int) -> tuple[bool, str]:
         if g.n > 16:
             return False, f"{label} has {g.n} > 16 vertices"
         degeneracy = g.degeneracy_ordering().degeneracy
-        for length in range(max_length + 1):
-            exact = count_walks(g, length)
+        for length, exact in enumerate(count_walks_upto(g, max_length)):
             bound = bound_walks_degenerate(g.n, degeneracy, g.max_degree, length)
             walk_checks += 1
             if exact > bound:

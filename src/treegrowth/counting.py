@@ -9,6 +9,7 @@ exponents are rounded up so that every comparison stays conservative.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .graphs import BudgetExceededError, Graph, GraphError
@@ -26,6 +27,7 @@ __all__ = [
     "count_simple_paths_upto",
     "count_walks",
     "count_walks_from",
+    "count_walks_upto",
     "height_cutoff_plan",
 ]
 
@@ -45,27 +47,36 @@ def ceil_sqrt(x: int) -> int:
 # -- exact counts ----------------------------------------------------------------
 
 
-def _walk_profile(g: Graph, length: int) -> list[int]:
-    """Per-vertex counts of walks of the given length starting at that vertex."""
-    if length < 0:
+def _walk_profiles(g: Graph, max_length: int) -> Iterator[list[int]]:
+    """Per-vertex counts of walks starting at each vertex, one list for each
+    length 0..max_length in turn."""
+    if max_length < 0:
         raise ValueError("walk length must be >= 0")
     counts = [1] * g.n
     neighbors = [g.neighbors(v).tolist() for v in range(g.n)]
-    for _ in range(length):
+    yield counts
+    for _ in range(max_length):
         counts = [sum(counts[u] for u in neighbors[v]) for v in range(g.n)]
-    return counts
+        yield counts
+
+
+def count_walks_upto(g: Graph, max_length: int) -> list[int]:
+    """Total numbers of directed walks in g, one entry per length 0..max_length."""
+    return [sum(counts) for counts in _walk_profiles(g, max_length)]
 
 
 def count_walks(g: Graph, length: int) -> int:
     """Total number of directed walks of the given length in g."""
-    return sum(_walk_profile(g, length))
+    return count_walks_upto(g, length)[length]
 
 
 def count_walks_from(g: Graph, s: int, length: int) -> int:
     """Number of directed walks of the given length starting at s."""
     if not 0 <= s < g.n:
         raise ValueError(f"start vertex {s} out of range")
-    return _walk_profile(g, length)[s]
+    for counts in _walk_profiles(g, length):
+        pass
+    return counts[s]
 
 
 def count_simple_paths_upto(
@@ -73,8 +84,10 @@ def count_simple_paths_upto(
 ) -> list[int]:
     """Exact counts of simple paths from s, one entry per length 0..max_length.
 
-    Depth-first backtracking; raises BudgetExceededError once the number of
-    node expansions passes the budget, naming the budget and the depth reached.
+    Depth-first backtracking on an explicit stack, so path length is not
+    capped by Python's recursion limit; raises BudgetExceededError once the
+    number of node expansions passes the budget, naming the budget and the
+    depth reached.
     """
     if not 0 <= s < g.n:
         raise GraphError(f"start vertex {s} out of range")
@@ -84,24 +97,30 @@ def count_simple_paths_upto(
     counts = [0] * (max_length + 1)
     visited = [False] * g.n
     expansions = 0
-
-    def dfs(v: int, depth: int) -> None:
-        nonlocal expansions
+    # stack[d] iterates over the candidates for depth d; path[d] is the
+    # vertex at depth d, marked visited while its subtree is searched.
+    stack = [iter((s,))]
+    path: list[int] = []
+    while stack:
+        for v in stack[-1]:
+            if not visited[v]:
+                break
+        else:
+            stack.pop()
+            if path:
+                visited[path.pop()] = False
+            continue
+        depth = len(stack) - 1
         expansions += 1
         if expansions > budget:
             raise BudgetExceededError(
                 f"path search exceeded {budget} node expansions at depth {depth}"
             )
         counts[depth] += 1
-        if depth == max_length:
-            return
-        visited[v] = True
-        for u in neighbors[v]:
-            if not visited[u]:
-                dfs(u, depth + 1)
-        visited[v] = False
-
-    dfs(s, 0)
+        if depth < max_length:
+            visited[v] = True
+            path.append(v)
+            stack.append(iter(neighbors[v]))
     return counts
 
 
@@ -340,8 +359,7 @@ def count_report(
             )
             for length, c in enumerate(per_v):
                 totals[length] += c
-    for length in range(max_length + 1):
-        walks = count_walks(g, length)
+    for length, walks in enumerate(count_walks_upto(g, max_length)):
         wbound = bound_walks_degenerate(g.n, degen, delta, length)
         rows.append(
             CountRow(graph_label, None, length, walks, "degenerate", wbound, walks <= wbound)

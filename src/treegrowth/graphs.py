@@ -113,7 +113,7 @@ class Graph:
     columns and edge ids (2 words each) and O(n) row pointers and degrees,
     plus the sorted edge keys once :meth:`edge_ids` has been called.  The
     connectivity check, :meth:`bfs_distances`, :meth:`eccentricity` and
-    :meth:`diameter` each build a scipy structure matrix of 3 more words
+    :meth:`diameter` each build a scipy structure matrix of 1 more word
     per edge and free it on return.
     """
 
@@ -275,12 +275,14 @@ class Graph:
     def _structure(self) -> csr_matrix:
         """A fresh scipy matrix of the CSR for the breadth-first searches.
 
-        It holds float64 ones and scipy's int32 copy of the columns, 3 words
-        per edge, so it is never kept: each caller lets it go on return.
+        Its data is one float 1.0 broadcast to every half-edge, since scipy's
+        breadth-first search and unweighted Dijkstra read only the index
+        arrays, so what it holds per edge is scipy's int32 copy of the
+        columns, 1 word.  It is never kept: each caller lets it go on return.
         The CSR holds both half-edges, so a directed search is exact and
         skips the CSC copy an undirected one makes.
         """
-        data = np.ones(self._csr_indices.size)
+        data = np.broadcast_to(np.float64(1.0), self._csr_indices.shape)
         return csr_matrix((data, self._csr_indices, self._csr_indptr), shape=(self.n, self.n))
 
     # -- unweighted geometry ---------------------------------------------

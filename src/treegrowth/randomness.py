@@ -10,9 +10,13 @@ the generator's ziggurat method: the same uniform stream then yields the
 same weights everywhere, which the law-equivalence and replay tests rely
 on.  Array draws run in place in the array that receives the uniforms, so
 a draw of n variates holds 8n bytes at its peak and no temporaries, and
-gives the same floats as the plain expression -log1p(-U) / rate.  Erlang
-sums keep one accumulator and one draw buffer; the two-stage sampler
-allocates its chunk buffers once.
+gives the same floats as the plain expression -log1p(-U) / rate.  The tail
+samplers draw in pieces of ``_DRAW_VALUES`` values into one cache-sized
+buffer and fold each piece into their output at once: an Erlang sum holds
+its output and that buffer, the two-stage sampler its output, one chunk of
+child weights and that buffer.  The uniforms are read in the same order
+and go through the same elementwise steps as a whole-array draw, so the
+floats, and the stream's next uniform, are the same.
 
 The two-stage minimum is drawn through the identity min of b independent
 Exp(1) variables ~ Exp(1)/b: each child's cheapest leaf edge is one draw at
@@ -27,6 +31,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# Values per draw in the tail samplers: a 256 KiB buffer, small enough to
+# stay in cache between the draw and the fold into the output.
+_DRAW_VALUES = 1 << 15
 
 
 def stream_for(master_seed: int, *path: int) -> np.random.Generator:
@@ -62,13 +70,20 @@ def sample_exponential(
 
 
 def sample_erlang(stream: np.random.Generator, k: int, size: int) -> np.ndarray:
-    """Sum of k unit-rate exponentials, drawn one at a time into one buffer."""
+    """Sum of k unit-rate exponentials.
+
+    The k passes over the output run in order, each drawn in pieces of
+    ``_DRAW_VALUES`` into one buffer and added to its slice of the output.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     out = np.zeros(size)
-    buf = np.empty(size)
+    flat = out.reshape(-1)
+    buf = np.empty(min(_DRAW_VALUES, flat.size))
     for _ in range(k):
-        out += sample_exponential(stream, size, out=buf)
+        for start in range(0, flat.size, _DRAW_VALUES):
+            piece = flat[start : start + _DRAW_VALUES]
+            piece += sample_exponential(stream, piece.size, out=buf[: piece.size])
     return out
 
 
@@ -81,20 +96,26 @@ def sample_two_stage_min(
     carries an independent unit-rate exponential weight.  A child's b leaf
     edges only matter through their minimum, which is Exp(1)/b, so each
     sample takes a child draws and a leaf-minimum draws at rate b: exactly
-    2a uniforms.  Rows are drawn in chunks of at most 2**20 values per array,
-    into two buffers allocated once, to bound memory.
+    2a uniforms.  Rows come in chunks of at most 2**20 values: a chunk's
+    child weights are drawn whole, then its leaf minima ``_DRAW_VALUES // a``
+    rows at a time into one small buffer, which takes those rows' child
+    weights and gives their minima straight to the output.
     """
     if a < 1 or b < 1:
         raise ValueError(f"branching must be >= 1, got a={a}, b={b}")
     out = np.empty(size)
     chunk = max(1, (1 << 20) // a)
+    rows = max(1, _DRAW_VALUES // a)
     child = np.empty((min(chunk, size), a))
-    leaf = np.empty_like(child)
+    leaf = np.empty((min(rows, size), a))
     for start in range(0, size, chunk):
         c = min(chunk, size - start)
         ch = sample_exponential(stream, (c, a), out=child[:c])
-        ch += sample_exponential(stream, (c, a), rate=b, out=leaf[:c])
-        ch.min(axis=1, out=out[start : start + c])
+        for lo in range(0, c, rows):
+            r = min(rows, c - lo)
+            lf = sample_exponential(stream, (r, a), rate=b, out=leaf[:r])
+            lf += ch[lo : lo + r]  # leaf + child: IEEE addition commutes
+            lf.min(axis=1, out=out[start + lo : start + lo + r])
     return out
 
 
@@ -165,6 +186,13 @@ def _require_trials(trials: int) -> None:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
 
+def _require_thresholds(t_values) -> tuple:
+    t_values = tuple(t_values)
+    if not t_values:
+        raise ValueError("thresholds must not be empty")
+    return t_values
+
+
 def check_erlang_head(
     stream: np.random.Generator, k: int, d: float, trials: int
 ) -> TailCheckReport:
@@ -180,6 +208,7 @@ def check_erlang_tail(
     stream: np.random.Generator, k: int, t_values, trials: int
 ) -> TailCheckReport:
     _require_trials(trials)
+    t_values = _require_thresholds(t_values)
     x = sample_erlang(stream, k, trials)
     rows = []
     for t in t_values:
@@ -192,6 +221,7 @@ def check_two_stage_tail(
     stream: np.random.Generator, a: int, b: int, t_values, trials: int
 ) -> TailCheckReport:
     _require_trials(trials)
+    t_values = _require_thresholds(t_values)
     y = sample_two_stage_min(stream, a, b, trials)
     rows = []
     for t in t_values:

@@ -17,6 +17,7 @@ from treegrowth.counting import (
     count_simple_paths_upto,
     count_walks,
     count_walks_from,
+    count_walks_upto,
     height_cutoff_plan,
 )
 from treegrowth.families import FamilySpec, build_family
@@ -65,6 +66,50 @@ def test_budget_exceeded_is_explicit():
     g = complete(8)
     with pytest.raises(BudgetExceededError, match="expansions"):
         count_simple_paths_upto(g, 0, 7, budget=10)
+
+
+def recursive_simple_paths(g, s, max_length):
+    """Oracle: recursive backtracking, recording each expansion's vertex and depth."""
+    visits = []
+    visited = [False] * g.n
+
+    def dfs(v, depth):
+        visits.append((v, depth))
+        if depth == max_length:
+            return
+        visited[v] = True
+        for u in g.neighbors(v).tolist():
+            if not visited[u]:
+                dfs(u, depth + 1)
+        visited[v] = False
+
+    dfs(s, 0)
+    return visits
+
+
+@given(connected_graphs(), st.integers(min_value=0, max_value=6), st.data())
+def test_path_search_matches_recursive_backtracking(g, max_length, data):
+    # Same counts, same expansion count, and the budget trips at the same
+    # expansion, at the same depth, with the same message.
+    s = data.draw(st.integers(min_value=0, max_value=g.n - 1))
+    visits = recursive_simple_paths(g, s, max_length)
+    counts = [sum(1 for _, d in visits if d == length) for length in range(max_length + 1)]
+    assert count_simple_paths_upto(g, s, max_length, budget=len(visits)) == counts
+    budget = data.draw(st.integers(min_value=0, max_value=len(visits) - 1))
+    depth = visits[budget][1]
+    with pytest.raises(BudgetExceededError) as err:
+        count_simple_paths_upto(g, s, max_length, budget=budget)
+    assert str(err.value) == (
+        f"path search exceeded {budget} node expansions at depth {depth}")
+
+
+def test_path_search_is_not_capped_by_the_recursion_limit():
+    assert count_simple_paths_upto(path(1500), 0, 1400) == [1] * 1401
+
+
+def test_walks_upto_match_single_lengths():
+    g, _ = build_family(FamilySpec("grid", {"d": 3, "k": 2}))
+    assert count_walks_upto(g, 12) == [count_walks(g, length) for length in range(13)]
 
 
 def test_counts_symmetric_under_vertex_transitivity():
@@ -217,6 +262,7 @@ def test_count_report_on_planar_grid():
     walk_rows = [r for r in rows if r.bound_kind == "degenerate"]
     assert [r.length for r in walk_rows] == list(range(7))
     assert walk_rows[0].exact == 9 and walk_rows[1].exact == 24
+    assert [r.exact for r in walk_rows] == [count_walks(g, length) for length in range(7)]
 
 
 def test_count_report_without_meta_has_no_genus_rows():

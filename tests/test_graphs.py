@@ -158,6 +158,21 @@ def test_resident_memory_after_eccentricity_on_complete_graph():
     assert current <= 4.5 * 8 * m, f"resident {current / (8 * m):.1f} words per edge"
 
 
+def test_eccentricity_peak_memory_on_complete_graph():
+    """An eccentricity query on a built K_1024 peaks at 1 word per edge,
+    scipy's int32 copy of the columns: the structure matrix's data is one
+    broadcast float, not a float64 ones array (3 words per edge in all)."""
+    n = 1024
+    g = Graph(n, np.stack(np.triu_indices(n, 1), axis=1))
+    tracemalloc.start()
+    try:
+        assert g.eccentricity(0) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * g.m, f"peak {peak / (8 * g.m):.1f} words per edge"
+
+
 # -- unweighted geometry -----------------------------------------------------
 
 

@@ -21,6 +21,7 @@ from scipy import stats
 from treegrowth.families import FamilySpec, build_family
 from treegrowth.growth import sample_edge_weights
 from treegrowth.randomness import (
+    _DRAW_VALUES,
     check_erlang_head,
     check_erlang_tail,
     check_two_stage_sum,
@@ -101,14 +102,27 @@ def test_erlang_matches_plain_sum_bit_for_bit(k, size):
                      lambda s: plain_erlang(s, k, size), (29, 1, k))
 
 
+def test_erlang_across_draw_buffers_matches_plain_sum_bit_for_bit():
+    # 100 003 values are three full draw buffers and part of a fourth, so
+    # each of the k passes ends mid-buffer.
+    assert 3 * _DRAW_VALUES < 100_003 < 4 * _DRAW_VALUES
+    assert_same_draw(lambda s: sample_erlang(s, 3, 100_003),
+                     lambda s: plain_erlang(s, 3, 100_003), (29, 1, 3, 1))
+
+
 @pytest.mark.parametrize(
     "a, b, size",
-    [(8, 4, 1000), (16, 16, 70_000), (2**20 + 1, 3, 3), (4, 2, 0)],
-    ids=["one-chunk", "two-chunks", "a-above-chunk", "zero"],
+    [(8, 4, 1000), (16, 16, 70_000), (2**20 + 1, 3, 3), (4, 2, 0),
+     (16, 16, 200_003), (3, 5, 100_001)],
+    ids=["one-chunk", "two-chunks", "a-above-chunk", "zero",
+         "many-chunks-and-buffers", "odd-a"],
 )
 def test_two_stage_min_matches_plain_chunks_bit_for_bit(a, b, size):
     # 70 000 rows at a = 16 span two chunks; at a = 2**20 + 1 each row is
-    # a chunk of its own.
+    # a chunk of its own.  The leaf minima are drawn _DRAW_VALUES // a rows
+    # at a time: 200 003 rows at a = 16 are four chunks, the last cut short,
+    # of 32 leaf buffers each; at a = 3 the chunk of 349 525 rows is not a
+    # multiple of the buffer's 10 922, and 100 001 rows end mid-buffer.
     assert_same_draw(lambda s: sample_two_stage_min(s, a, b, size),
                      lambda s: plain_two_stage_min(s, a, b, size), (29, 2, a))
 
@@ -286,6 +300,17 @@ def test_checks_reject_zero_trials(call):
     assert_rejects_before_drawing(call, "trials")
 
 
+@pytest.mark.parametrize("call", [
+    lambda s: check_erlang_tail(s, 10, [], 1000),
+    lambda s: check_two_stage_tail(s, 8, 4, (), 1000),
+    lambda s: check_two_stage_tail(s, 8, 4, iter([]), 1000),
+], ids=["erlang_tail", "two_stage_tail", "two_stage_tail_iterator"])
+def test_tail_checks_reject_empty_thresholds(call):
+    # With no thresholds a check would draw every variate and pass with
+    # no rows.
+    assert_rejects_before_drawing(call, "thresholds")
+
+
 @pytest.mark.parametrize("k", [0, -2])
 @pytest.mark.parametrize("check", [
     lambda s, k: check_erlang_head(s, k, 8, 1000),
@@ -322,14 +347,16 @@ def test_exponential_draws_in_the_output_array():
 
 
 def test_erlang_holds_one_accumulator_and_one_buffer():
-    # Fresh arrays every step read 4.0; one accumulator and one buffer, 2.0.
+    # Fresh arrays every step read 4.0, an output-sized draw buffer 2.0;
+    # the output and one buffer of _DRAW_VALUES, 1.03.
     size = 10**6
-    assert peak_in_outputs(lambda: sample_erlang(stream_for(37, 1), 10, size), size) <= 2.5
+    assert peak_in_outputs(lambda: sample_erlang(stream_for(37, 1), 10, size), size) <= 1.2
 
 
 def test_two_stage_min_allocates_its_chunk_buffers_once():
-    # Fresh arrays every chunk read 6.24; the output and two (2**17, 8)
-    # buffers, 3.10.
+    # Fresh arrays every chunk read 6.24, two (2**17, 8) chunk buffers 3.10;
+    # the output, one chunk of child weights and a (2**12, 8) leaf buffer,
+    # 2.08.
     size = 10**6
     assert peak_in_outputs(
-        lambda: sample_two_stage_min(stream_for(37, 2), 8, 4, size), size) <= 4
+        lambda: sample_two_stage_min(stream_for(37, 2), 8, 4, size), size) <= 2.5
