@@ -68,13 +68,14 @@ def test_budget_exceeded_is_explicit():
         count_simple_paths_upto(g, 0, 7, budget=10)
 
 
-def recursive_simple_paths(g, s, max_length):
-    """Oracle: recursive backtracking, recording each expansion's vertex and depth."""
-    visits = []
+def recursive_expansion_depths(g, s, max_length):
+    """Oracle: recursive backtracking, recording the depth of each expansion
+    in the order they happen."""
+    depths = []
     visited = [False] * g.n
 
     def dfs(v, depth):
-        visits.append((v, depth))
+        depths.append(depth)
         if depth == max_length:
             return
         visited[v] = True
@@ -84,7 +85,7 @@ def recursive_simple_paths(g, s, max_length):
         visited[v] = False
 
     dfs(s, 0)
-    return visits
+    return depths
 
 
 @given(connected_graphs(), st.integers(min_value=0, max_value=6), st.data())
@@ -92,11 +93,11 @@ def test_path_search_matches_recursive_backtracking(g, max_length, data):
     # Same counts, same expansion count, and the budget trips at the same
     # expansion, at the same depth, with the same message.
     s = data.draw(st.integers(min_value=0, max_value=g.n - 1))
-    visits = recursive_simple_paths(g, s, max_length)
-    counts = [sum(1 for _, d in visits if d == length) for length in range(max_length + 1)]
-    assert count_simple_paths_upto(g, s, max_length, budget=len(visits)) == counts
-    budget = data.draw(st.integers(min_value=0, max_value=len(visits) - 1))
-    depth = visits[budget][1]
+    depths = recursive_expansion_depths(g, s, max_length)
+    counts = [depths.count(length) for length in range(max_length + 1)]
+    assert count_simple_paths_upto(g, s, max_length, budget=len(depths)) == counts
+    budget = data.draw(st.integers(min_value=0, max_value=len(depths) - 1))
+    depth = depths[budget]
     with pytest.raises(BudgetExceededError) as err:
         count_simple_paths_upto(g, s, max_length, budget=budget)
     assert str(err.value) == (
