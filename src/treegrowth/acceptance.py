@@ -29,12 +29,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
-from .counting import (
-    bound_paths_genus,
-    bound_walks_degenerate,
-    count_simple_paths_upto,
-    count_walks_upto,
-)
+from .counting import count_report
 from .families import E2, FamilySpec, build_family
 from .graphs import Graph
 from .growth import law_equivalence_test
@@ -283,24 +278,13 @@ def criterion_6(workers: int) -> tuple[bool, str]:
         g, meta = build_family(family)
         if g.n > 16:
             return False, f"{label} has {g.n} > 16 vertices"
-        degeneracy = g.degeneracy_ordering().degeneracy
-        for length, exact in enumerate(count_walks_upto(g, max_length)):
-            bound = bound_walks_degenerate(g.n, degeneracy, g.max_degree, length)
-            walk_checks += 1
-            if exact > bound:
-                return False, f"{label}: walks({length})={exact} > {bound}"
-        if meta.declared_genus != 0:
-            continue
-        wide = max(g.max_degree, 6)  # the path ceiling needs degree >= 6
-        totals = [0] * (max_length + 1)
-        for s in range(g.n):
-            for length, cnt in enumerate(count_simple_paths_upto(g, s, max_length)):
-                totals[length] += cnt
-        for length in range(max_length + 1):
-            bound = bound_paths_genus(g.n, 0, wide, length)
-            path_checks += 1
-            if totals[length] > bound:
-                return False, f"{label}: paths({length})={totals[length]} > {bound}"
+        for row in count_report(g, meta, label, None, max_length):
+            walks = row.bound_kind == "degenerate"  # the other rows are genus rows
+            walk_checks += walks
+            path_checks += not walks
+            if not row.passed:
+                counted = "walks" if walks else "paths"
+                return False, f"{label}: {counted}({row.length})={row.exact} > {row.bound_value}"
     return True, (
         f"exact <= ceiling on {walk_checks} walk checks and {path_checks} path checks"
         f" (lengths 0..{max_length}, zero tolerance)"

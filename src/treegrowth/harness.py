@@ -434,21 +434,14 @@ def _lower_bound_events(
     return np.stack([chain_fast, tree_slow, target_met, implication_ok], axis=1)
 
 
-def _check_height(ctx: _TrialContext, h: int) -> None:
-    if h < ctx.ecc_s:
-        raise RuntimeError(
-            f"spanning tree height {h} below start eccentricity {ctx.ecc_s}"
-        )
-
-
 def _run_block(ctx: _TrialContext, trials: range) -> list[TrialRecord]:
-    """Records of consecutive trials; their FPP trees come from one kernel
-    call and their lower-bound events from one pass."""
+    """Records of consecutive trials, built a field at a time: their FPP
+    trees come from one kernel call and their lower-bound events from one
+    pass."""
     spec = ctx.spec
-    want_fpp = spec.process in ("fpp", "both")
-    want_discrete = spec.process in ("discrete", "both")
     metrics = spec.metrics
-    if want_fpp:
+    columns: dict[str, list] = {}
+    if spec.process in ("fpp", "both"):
         weights = np.empty((len(trials), ctx.g.m))
         for i, trial in enumerate(trials):
             stream = stream_for(
@@ -456,57 +449,43 @@ def _run_block(ctx: _TrialContext, trials: range) -> list[TrialRecord]:
             )
             sample_edge_weights(ctx.g, stream, out=weights[i])
         block = grow_fpp_block(ctx.g, ctx.s, weights)
-        heights = block.height.tolist()
-        for h in heights:
-            _check_height(ctx, h)
+        columns["height"] = block.height.tolist()
         if "cover_time" in metrics:
-            covers = block.cover_time.tolist()
-            lwpes = block.longest_weighted_path_edges.tolist()
+            columns["cover_time"] = block.cover_time.tolist()
+            columns["longest_weighted_path_edges"] = block.longest_weighted_path_edges.tolist()
+        if "hitting_times" in metrics:
+            columns["hitting_times"] = [tuple(row) for row in block.dist.tolist()]
         if "event_AB" in metrics:
-            block_events = _lower_bound_events(ctx, weights, heights).tolist()
-    records = []
-    for i, trial in enumerate(trials):
-        height = height_discrete = cover = lwpe = None
-        hitting = None
-        events = (None, None, None, None)
-        if want_fpp:
-            height = heights[i]
-            if "cover_time" in metrics:
-                cover, lwpe = covers[i], lwpes[i]
-            if "hitting_times" in metrics:
-                hitting = tuple(block.dist[i].tolist())
-            if "event_AB" in metrics:
-                events = block_events[i]
-        if want_discrete:
-            stream = stream_for(
+            events = _lower_bound_events(ctx, weights, columns["height"]).T.tolist()
+            columns.update(zip(
+                ("event_chain_fast", "event_tree_slow", "height_target_met", "implication_ok"),
+                events,
+            ))
+    if spec.process in ("discrete", "both"):
+        columns["height_discrete" if spec.process == "both" else "height"] = [
+            grow_discrete(ctx.g, ctx.s, stream_for(
                 spec.master_seed, spec.experiment_id, trial, DISCRETE_CHANNEL
-            )
-            h = grow_discrete(ctx.g, ctx.s, stream).height()
-            _check_height(ctx, h)
-            if want_fpp:
-                height_discrete = h
-            else:
-                height = h
-        if "height" not in metrics:
-            height = height_discrete = None
-        primary = WEIGHT_CHANNEL if want_fpp else DISCRETE_CHANNEL
-        records.append(
-            TrialRecord(
-                trial=trial,
-                seed_path=(spec.experiment_id, trial, primary),
-                process=spec.process,
-                height=height,
-                height_discrete=height_discrete,
-                cover_time=cover,
-                longest_weighted_path_edges=lwpe,
-                hitting_times=hitting,
-                event_chain_fast=events[0],
-                event_tree_slow=events[1],
-                height_target_met=events[2],
-                implication_ok=events[3],
-            )
+            )).height()
+            for trial in trials
+        ]
+    heights = columns.get("height", []) + columns.get("height_discrete", [])
+    if heights and min(heights) < ctx.ecc_s:
+        raise RuntimeError(
+            f"spanning tree height {min(heights)} below start eccentricity {ctx.ecc_s}"
         )
-    return records
+    if "height" not in metrics:
+        columns.pop("height", None)
+        columns.pop("height_discrete", None)
+    primary = DISCRETE_CHANNEL if spec.process == "discrete" else WEIGHT_CHANNEL
+    return [
+        TrialRecord(
+            trial=trial,
+            seed_path=(spec.experiment_id, trial, primary),
+            process=spec.process,
+            **{key: values[i] for key, values in columns.items()},
+        )
+        for i, trial in enumerate(trials)
+    ]
 
 
 _WORKER_CTX: _TrialContext | None = None

@@ -190,6 +190,8 @@ def _require_thresholds(t_values) -> tuple:
     t_values = tuple(t_values)
     if not t_values:
         raise ValueError("thresholds must not be empty")
+    if not all(math.isfinite(t) for t in t_values):
+        raise ValueError(f"thresholds must be finite, got {t_values}")
     return t_values
 
 
@@ -197,6 +199,8 @@ def check_erlang_head(
     stream: np.random.Generator, k: int, d: float, trials: int
 ) -> TailCheckReport:
     _require_trials(trials)
+    if not (d > 0 and math.isfinite(d)):
+        raise ValueError(f"d must be positive and finite, got {d}")
     x = sample_erlang(stream, k, trials)
     t = k / d
     phat = float(np.mean(x <= t))

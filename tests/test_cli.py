@@ -1,5 +1,6 @@
 """CLI behavior: emission formats, exit codes, env defaults, override flags."""
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -161,6 +162,32 @@ def test_count_csv(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "graph,s,length,exact,bound_kind,bound_value,pass"
     assert all(line.endswith(",true") for line in lines[1:])
+
+
+# sha256 of each count's stdout, captured before the path searches shared
+# one neighbour table and criterion 6 read count_report.
+GOLDEN_COUNTS = {
+    ("--family", "grid", "--d", "1", "--k", "300", "--max-length", "250"):
+        "c87957d44f16be7634500af95db54fa902fdd54be9c8ae4a2f21e40ec2596cd9",
+    ("--family", "complete", "--n", "5", "--max-length", "6"):
+        "a4c7207bb3dc16dab1108d8b6b7cd748a65532fc7462852310d24e59f024a3ac",
+    ("--family", "ladder_H", "--L", "3", "--delta", "3", "--max-length", "5"):
+        "28d18dc3b64c41fc350aeb68a823a959b39646c1940f2359d019c5c23f8b87d8",
+    ("--family", "glued_G", "--L", "2", "--delta", "1", "--a", "8", "--m", "2",
+     "--max-length", "6"):
+        "17974d766c6ab79d2f02560d1cc6916459ff31392094095fff5ef7dc8f997999",
+    ("--family", "grid", "--d", "2", "--k", "2", "--s", "4", "--max-length", "7"):
+        "8dd02b74ff9c1602fd25bbf77884c0a95887734b81414534186228fbb9df7b78",
+}
+
+
+@pytest.mark.parametrize(
+    "argv", list(GOLDEN_COUNTS), ids=["path301", "complete5", "ladder_H", "glued_G", "grid_s4"]
+)
+def test_count_stdout_is_pinned(argv, capsys):
+    assert main(["count", *argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_COUNTS[argv]
 
 
 @pytest.mark.parametrize(

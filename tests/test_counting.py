@@ -13,10 +13,7 @@ from treegrowth.counting import (
     bound_walks_degenerate,
     ceil_sqrt,
     count_report,
-    count_simple_paths_from,
     count_simple_paths_upto,
-    count_walks,
-    count_walks_from,
     count_walks_upto,
     height_cutoff_plan,
 )
@@ -40,25 +37,38 @@ def test_ceil_sqrt_oracles():
 # -- exact counts ----------------------------------------------------------------
 
 
+def walks_by_matrix_power(g, length):
+    """Oracle: walks of the given length from each vertex, the row sums of
+    the adjacency matrix's power in exact integers."""
+    a = np.zeros((g.n, g.n), dtype=object)
+    u, v = g.edges.T
+    a[u, v] = a[v, u] = 1
+    return np.linalg.matrix_power(a, length).sum(axis=1).tolist()
+
+
+def paths_from(g, s, length):
+    return count_simple_paths_upto(g, s, length)[length]
+
+
 def test_path_count_oracles():
-    assert count_simple_paths_from(path(3), 0, 2) == 1
-    assert count_simple_paths_from(complete(4), 0, 3) == 6
-    assert count_simple_paths_from(cycle(6), 0, 3) == 2
-    assert count_simple_paths_from(cycle(6), 0, 0) == 1
+    assert paths_from(path(3), 0, 2) == 1
+    assert paths_from(complete(4), 0, 3) == 6
+    assert paths_from(cycle(6), 0, 3) == 2
+    assert paths_from(cycle(6), 0, 0) == 1
 
 
 def test_walk_count_oracles():
     g = complete(3)
-    assert count_walks(g, 2) == 12
-    assert count_walks(g, 0) == g.n
-    assert count_walks(g, 1) == 2 * g.m
-    assert count_walks_from(g, 0, 2) == 4
+    assert count_walks_upto(g, 2) == [g.n, 2 * g.m, 12]
+    assert walks_by_matrix_power(g, 2) == [4, 4, 4]
+    assert walks_by_matrix_power(g, 0) == [1] * g.n
+    assert sum(walks_by_matrix_power(g, 1)) == 2 * g.m
 
 
 def test_upto_matches_single_lengths():
     g = complete(4)
     ups = count_simple_paths_upto(g, 0, 3)
-    assert ups == [count_simple_paths_from(g, 0, length) for length in range(4)]
+    assert ups == [paths_from(g, 0, length) for length in range(4)]
     assert ups == [1, 3, 6, 6]
 
 
@@ -110,22 +120,26 @@ def test_path_search_is_not_capped_by_the_recursion_limit():
 
 def test_walks_upto_match_single_lengths():
     g, _ = build_family(FamilySpec("grid", {"d": 3, "k": 2}))
-    assert count_walks_upto(g, 12) == [count_walks(g, length) for length in range(13)]
+    assert count_walks_upto(g, 12) == [
+        sum(walks_by_matrix_power(g, length)) for length in range(13)
+    ]
+    big = count_walks_upto(g, 60)[60]  # exact past 2**63
+    assert big > 2**63 and big == sum(walks_by_matrix_power(g, 60))
 
 
 def test_counts_symmetric_under_vertex_transitivity():
     c6 = cycle(6)
-    counts = {count_simple_paths_from(c6, s, 4) for s in range(6)}
+    counts = {paths_from(c6, s, 4) for s in range(6)}
     assert len(counts) == 1
     cube, _ = build_family(FamilySpec("grid", {"d": 3, "k": 1}))
-    counts = {count_simple_paths_from(cube, s, 5) for s in range(cube.n)}
+    counts = {paths_from(cube, s, 5) for s in range(cube.n)}
     assert len(counts) == 1
 
 
 @given(connected_graphs(), st.integers(min_value=0, max_value=5))
 def test_paths_below_walks_below_trivial(g, length):
-    paths = count_simple_paths_from(g, 0, length)
-    walks = count_walks_from(g, 0, length)
+    paths = paths_from(g, 0, length)
+    walks = walks_by_matrix_power(g, length)[0]
     assert paths <= walks <= max(g.max_degree, 1) ** length
 
 
@@ -158,18 +172,16 @@ def test_walk_bound_exhaustive_on_trees():
             parents = [int(rng.integers(0, i)) for i in range(1, n)]
             g = Graph(n, [(p, i + 1) for i, p in enumerate(parents)])
             assert g.degeneracy_ordering().degeneracy == 1
-            for length in range(7):
-                assert count_walks(g, length) <= bound_walks_degenerate(
-                    n, 1, g.max_degree, length
-                )
+            for length, walks in enumerate(count_walks_upto(g, 6)):
+                assert walks <= bound_walks_degenerate(n, 1, g.max_degree, length)
 
 
 def test_genus_bound_on_planar_instances():
     grid, _ = build_family(FamilySpec("grid", {"d": 2, "k": 2}))
     for g, genus in [(cycle(6), 0), (grid, 0), (complete(4), 0)]:
         delta = max(g.max_degree, 6)
-        for length in range(9):
-            total = sum(count_simple_paths_from(g, s, length) for s in range(g.n))
+        per_start = [count_simple_paths_upto(g, s, 8) for s in range(g.n)]
+        for length, total in enumerate(map(sum, zip(*per_start))):
             assert total <= bound_paths_genus(g.n, genus, delta, length)
 
 
@@ -263,10 +275,31 @@ def test_count_report_on_planar_grid():
     walk_rows = [r for r in rows if r.bound_kind == "degenerate"]
     assert [r.length for r in walk_rows] == list(range(7))
     assert walk_rows[0].exact == 9 and walk_rows[1].exact == 24
-    assert [r.exact for r in walk_rows] == [count_walks(g, length) for length in range(7)]
+    assert [r.exact for r in walk_rows] == [
+        sum(walks_by_matrix_power(g, length)) for length in range(7)
+    ]
+    trivial_rows = [r for r in rows if r.bound_kind == "trivial"]
+    assert [r.exact for r in trivial_rows] == count_simple_paths_upto(g, 0, 6)
+    genus_rows = [r for r in rows if r.bound_kind == "genus"]
+    totals = [sum(paths_from(g, s, length) for s in range(g.n)) for length in range(7)]
+    assert [r.exact for r in genus_rows] == totals
+    assert [r.bound_kind for r in rows[:3]] == ["degenerate", "trivial", "genus"]
 
 
 def test_count_report_without_meta_has_no_genus_rows():
     rows = count_report(cycle(5), None, "c5", s=0, max_length=3)
     assert {r.bound_kind for r in rows} == {"degenerate", "trivial"}
     assert all(r.passed for r in rows)
+
+
+@pytest.mark.parametrize("family", [
+    FamilySpec("grid", {"d": 2, "k": 2}),
+    FamilySpec("complete", {"n": 5}),
+    FamilySpec("ladder_H", {"L": 3, "delta": 3}),
+], ids=["grid_2_2", "complete5", "ladder_3_3"])
+def test_count_report_without_start_drops_only_the_trivial_rows(family):
+    g, meta = build_family(family)
+    with_start = count_report(g, meta, "g", s=0, max_length=7)
+    assert count_report(g, meta, "g", s=None, max_length=7) == [
+        r for r in with_start if r.bound_kind != "trivial"
+    ]

@@ -379,6 +379,16 @@ def test_lower_bound_events_violation_raises():
     assert str(info.value).endswith("held but height 2 < target 1000000")
 
 
+@pytest.mark.parametrize("process", ["fpp", "discrete", "both"])
+def test_height_below_eccentricity_raises(process):
+    spec = ExperimentSpec(family=FamilySpec("grid", {"d": 2, "k": 2}), process=process,
+                          metrics=("cover_time",) if process != "discrete" else ("height",))
+    ctx = _make_context(spec, max_vertices=1 << 20)
+    ctx.ecc_s = 10**6  # no spanning tree of 9 vertices is that tall
+    with pytest.raises(RuntimeError, match=r"height \d+ below start eccentricity 1000000"):
+        harness._run_block(ctx, range(3))
+
+
 def test_chain_graph_edges_are_the_masked_edges():
     ctx = _event_context({"kind": "planar_lower_G",
                           "params": {"L": 8, "delta": 3, "a": 8, "m": 2}})

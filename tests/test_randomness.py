@@ -311,6 +311,23 @@ def test_tail_checks_reject_empty_thresholds(call):
     assert_rejects_before_drawing(call, "thresholds")
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("check", [
+    lambda s, t: check_erlang_tail(s, 10, [3.0, t], 1000),
+    lambda s, t: check_two_stage_tail(s, 8, 4, (t,), 1000),
+], ids=["erlang_tail", "two_stage_tail"])
+def test_tail_checks_reject_non_finite_thresholds(check, t):
+    # A NaN threshold would read as a FAIL row rather than an invalid call.
+    assert_rejects_before_drawing(lambda s: check(s, t), "finite")
+
+
+@pytest.mark.parametrize("d", [0, 0.0, -2, math.nan, math.inf])
+def test_erlang_head_rejects_d_not_positive_and_finite(d):
+    # d = 0 drew every variate and then divided by zero; d = -2 and NaN read
+    # as FAIL against a meaningless bound.
+    assert_rejects_before_drawing(lambda s: check_erlang_head(s, 10, d, 1000), "d must be")
+
+
 @pytest.mark.parametrize("k", [0, -2])
 @pytest.mark.parametrize("check", [
     lambda s, k: check_erlang_head(s, k, 8, 1000),
