@@ -19,8 +19,10 @@ the change read better, ties counting for neither side; which way is
 better comes from the change's ``BENCHMARK.json``.  Each metric also gets
 ``after_over_before``, the ratio of the medians (null when the parent's
 median is 0), and ``gain_rule_met``: at least ten pairs, the change better
-in at least nine tenths of them, and its median better than the parent's
-by more than the parent's interquartile range.  The summary counts, on
+in at least nine tenths of them, its median better than the parent's by
+more than the parent's interquartile range, and no larger share of failed
+operations (``failed`` over ``attempted``, summed over the runs) on the
+change's side than on the parent's.  The summary counts, on
 each side, the runs whose ``correct`` was false, and the script exits 1
 when any run of the seed had one.
 """
@@ -89,6 +91,10 @@ def summarize(runs: dict, better: dict[str, str]) -> dict:
     before, after = runs["before"], runs["after"]
     out = {"runs_not_correct": {side: sum(not r["correct"] for r in runs[side])
                                 for side in ("before", "after")}}
+    failed_share = {side: sum(r["failed"] for r in runs[side])
+                    / max(sum(r["attempted"] for r in runs[side]), 1)
+                    for side in ("before", "after")}
+    no_more_failures = failed_share["after"] <= failed_share["before"]
     for name in before[0]["metrics"]:
         b = [r["metrics"][name]["value"] for r in before]
         a = [r["metrics"][name]["value"] for r in after]
@@ -101,7 +107,7 @@ def summarize(runs: dict, better: dict[str, str]) -> dict:
                 q1, _, q3 = quantiles(values, n=4)
                 sides[side].update(q1=q1, q3=q3)
         before_median, after_median = sides["before"]["median"], sides["after"]["median"]
-        gain = (len(b) >= 10 and 10 * won >= 9 * len(b)
+        gain = (no_more_failures and len(b) >= 10 and 10 * won >= 9 * len(b)
                 and sign * (after_median - before_median)
                 > sides["before"]["q3"] - sides["before"]["q1"])
         out[name] = {**sides, "after_better_in_pairs": f"{won}/{len(b)}",

@@ -5,12 +5,13 @@ A :class:`Graph` is immutable after construction: edges are canonicalized
 (u < v, lexicographically sorted) and the CSR adjacency used by the
 traversal routines is built exactly once, in O(m) passes plus at most two
 stable sorts: one of the edge keys, only when the input is not already
-canonical, and one of the half-edges by row.  A graph keeps six int64
-words per edge, the edge array and the CSR's columns and edge ids, and a
-seventh once edge ids are looked up.  The scipy structure matrix the
-breadth-first searches run on is built by each query that needs it and
-freed when the query returns.  All randomness lives elsewhere; everything
-in this module is deterministic.
+canonical, and one of the half-edges by row.  A graph keeps four words
+per edge: the int64 edge array (two) and the CSR's int32 columns and edge
+ids (one each), and a fifth once edge ids are looked up.  The scipy
+structure matrix the breadth-first searches run on is built by each query
+that needs it, shares the CSR's columns and is freed when the query
+returns.  All randomness lives elsewhere; everything in this module is
+deterministic.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 
 _DIAMETER_SOURCES = 512  # BFS sources per call in Graph.diameter
+_MAX_IDS = 2**31  # vertex ids 0..n-1 and edge ids 0..m-1 are stored as int32
 
 
 class GraphError(ValueError):
@@ -101,20 +103,24 @@ class Graph:
     ``Graph(n, edges)`` takes an integer n and an (m, 2) integer array-like
     of endpoints.  It checks, in this order, that the endpoints lie in
     0..n-1, that there is no self-loop, no duplicate edge, and that the
-    graph is connected, raising :class:`GraphError` otherwise.
+    graph is connected, raising :class:`GraphError` otherwise.  Before
+    any of these, and before the edges are copied, n above 2**31 and m of
+    2**31 or more are refused, since every vertex id and edge id is stored
+    as int32.
 
     Edges that are already canonical (``complete`` and ``ladder_H`` emit
     them) are kept as given: an int64 C-ordered array is adopted without a
     copy and made read-only.  Other input is sorted once.  The CSR comes
-    from one stable sort of the half-edges by row; all index arrays are
-    int64.
+    from one stable sort of the half-edges by row.  The edges, row pointers
+    and degrees are int64, so edge keys ``u * n + v`` computed from the
+    edges cannot overflow; the CSR's columns and edge ids are int32.
 
     What stays resident is the edge array (2 words per edge), the CSR's
-    columns and edge ids (2 words each) and O(n) row pointers and degrees,
+    columns and edge ids (1 word each) and O(n) row pointers and degrees,
     plus the sorted edge keys once :meth:`edge_ids` has been called.  The
     connectivity check, :meth:`bfs_distances`, :meth:`eccentricity` and
-    :meth:`diameter` each build a scipy structure matrix of 1 more word
-    per edge and free it on return.
+    :meth:`diameter` each build a scipy structure matrix over the CSR's
+    own columns, O(n) more, and free it on return.
     """
 
     __slots__ = (
@@ -135,6 +141,8 @@ class Graph:
             raise GraphError("vertex count must be an integer") from None
         if n < 1:
             raise GraphError("graph needs at least one vertex")
+        if n > _MAX_IDS:
+            raise GraphError(f"{n} vertices exceed the {_MAX_IDS} that int32 ids allow")
         e = np.asarray(edges)
         if e.size == 0:
             e = np.zeros((0, 2), dtype=np.int64)
@@ -142,6 +150,8 @@ class Graph:
             raise GraphError("edge endpoints must be integers")
         if e.ndim != 2 or e.shape[1] != 2:
             raise GraphError("edges must be an (m, 2) array of endpoints")
+        if e.shape[0] >= _MAX_IDS:
+            raise GraphError(f"{e.shape[0]} edges reach the {_MAX_IDS} that int32 ids allow")
         e = np.ascontiguousarray(e, dtype=np.int64)
         m = e.shape[0]
         if m and (e.min() < 0 or e.max() >= n):
@@ -173,6 +183,10 @@ class Graph:
         self._edges = e
         self._edges.setflags(write=False)
 
+        # A tree has n - 1 edges, so fewer cannot connect n vertices; saying
+        # so here spares the arrays of size n below.
+        if m < n - 1:
+            raise GraphError("graph must be connected")
         # Half-edges v -> u of every edge, then u -> v of every edge.  In a
         # row the first block holds the smaller neighbours and the second the
         # larger, each ascending, so a stable sort by row leaves every slice
@@ -184,8 +198,12 @@ class Graph:
         counts = np.bincount(rows, minlength=n)
         half = np.argsort(rows, kind="stable")
         del rows
-        self._csr_indices = np.concatenate([u, v])[half]
-        self._csr_edge_ids = np.remainder(half, m, out=half)
+        # Vertex and edge ids fit int32 (checked above), so the columns and
+        # edge ids are gathered straight into int32 arrays, and the int64
+        # permutation is freed as soon as both are made.
+        self._csr_indices = np.concatenate([u, v], dtype=np.int32)[half]
+        self._csr_edge_ids = np.remainder(half, m, out=np.empty(half.size, dtype=np.int32))
+        del half
         self._csr_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=self._csr_indptr[1:])
         self._degrees = counts
@@ -228,7 +246,12 @@ class Graph:
         """Edge id owning each CSR half-edge, aligned with adj_indices."""
         return self._csr_edge_ids
 
+    def _check_vertex(self, v) -> None:
+        if not 0 <= v < self.n:
+            raise GraphError(f"vertex {v} out of range")
+
     def neighbors(self, v: int) -> np.ndarray:
+        self._check_vertex(v)
         return self._csr_indices[self._csr_indptr[v] : self._csr_indptr[v + 1]]
 
     def edge_ids(self, u, v) -> np.ndarray:
@@ -277,8 +300,9 @@ class Graph:
 
         Its data is one float 1.0 broadcast to every half-edge, since scipy's
         breadth-first search and unweighted Dijkstra read only the index
-        arrays, so what it holds per edge is scipy's int32 copy of the
-        columns, 1 word.  It is never kept: each caller lets it go on return.
+        arrays, and scipy adopts the int32 columns without a copy, so the
+        matrix adds only its int32 row pointers, O(n), to the graph.  It is
+        never kept: each caller lets it go on return.
         The CSR holds both half-edges, so a directed search is exact and
         skips the CSC copy an undirected one makes.
         """
@@ -293,6 +317,7 @@ class Graph:
         scipy's breadth-first search returns the BFS tree's predecessors,
         and a vertex's depth in that tree is its distance.
         """
+        self._check_vertex(source)
         _, pred = breadth_first_order(
             self._structure(), source, directed=True, return_predecessors=True
         )

@@ -66,6 +66,15 @@ def test_summarize_gain_rule_met_on_a_clear_win():
     assert out["wall_s"]["gain_rule_met"] is False
 
 
+def test_summarize_gain_rule_not_met_beside_more_failures():
+    runs = paired(PARENT, [r * 1.3 for r in PARENT])
+    runs["after"][3]["failed"] = 1
+    rate = bench_pairs.summarize(runs, BETTER)["trials_per_s"]
+    assert rate["after_better_in_pairs"] == "10/10"
+    assert rate["after_over_before"] == pytest.approx(1.3)
+    assert rate["gain_rule_met"] is False
+
+
 def test_summarize_gain_rule_not_met_on_eight_of_ten():
     after = [r * 1.3 for r in PARENT[:8]] + [r * 0.9 for r in PARENT[8:]]
     rate = bench_pairs.summarize(paired(PARENT, after), BETTER)["trials_per_s"]

@@ -12,13 +12,15 @@ heights on K_n against the exact height law of random recursive trees; the
 half-edge buffer sampler it replaced is kept here as an oracle with its own
 exact-law check.  The batched FPP kernel is checked bit for bit against a
 plain heap Dijkstra kept here as an oracle, and its heights on K_n against
-the same random recursive tree law.
+the same random recursive tree law.  Both kernels give the same results bit
+for bit on a graph's int32 CSR and on int64 copies of it.
 """
 
 import dataclasses
 import heapq
 import math
 import tracemalloc
+import types
 from collections import Counter
 from fractions import Fraction
 
@@ -459,6 +461,51 @@ def test_discrete_rows_match_sequential_calls_where_flushes_fire(name, floor, mo
     monkeypatch.setattr(growth, "_FLUSH_MIN", floor)
     for s in range(g.n):
         assert_rows_match_calls(g, s, 200, (31, g.n, g.m, s))
+
+
+def int64_copy(g: Graph) -> types.SimpleNamespace:
+    """A duck-typed stand-in for ``g`` that carries int64 copies of its
+    arrays, where a graph stores its CSR columns and edge ids as int32."""
+    return types.SimpleNamespace(
+        n=g.n, m=g.m, edges=g.edges.copy(), adj_indptr=g.adj_indptr.copy(),
+        adj_indices=g.adj_indices.astype(np.int64),
+        adj_edge_ids=g.adj_edge_ids.astype(np.int64),
+    )
+
+
+DTYPE_GRAPHS = {
+    "complete64": complete(64),
+    "cube8": build_family(FamilySpec("grid", {"d": 8, "k": 1}))[0],
+    "house": HOUSE,
+    "path64": build_family(FamilySpec("grid", {"d": 1, "k": 63}))[0],
+}
+
+
+@pytest.mark.parametrize("name", list(DTYPE_GRAPHS))
+def test_kernels_agree_bit_for_bit_on_int64_and_int32_csr(name, monkeypatch):
+    g = DTYPE_GRAPHS[name]
+    wide = int64_copy(g)
+    assert g.adj_indices.dtype == g.adj_edge_ids.dtype == np.int32
+    assert wide.adj_indices.dtype == wide.adj_edge_ids.dtype == np.int64
+    flushes = 0
+    real = growth._flush
+
+    def counting(*args):
+        nonlocal flushes
+        flushes += 1
+        return real(*args)
+
+    monkeypatch.setattr(growth, "_flush", counting)
+    rows = growth._grow_discrete_rows(g, 0, stream_for(1, g.n, g.m), 3)
+    np.testing.assert_array_equal(
+        rows, growth._grow_discrete_rows(wide, 0, stream_for(1, g.n, g.m), 3)
+    )
+    if name == "path64":  # the path's trees run through flushes
+        assert flushes > 0
+    w = sample_exponential(stream_for(1, g.n, g.m), (3, g.m))
+    block, wide_block = grow_fpp_block(g, 0, w), grow_fpp_block(wide, 0, w)
+    for field in ("dist", "parent", "depth"):
+        np.testing.assert_array_equal(getattr(block, field), getattr(wide_block, field))
 
 
 def test_discrete_tree_holds_one_batch_at_a_time():
