@@ -192,112 +192,61 @@ class BoundRow:
     kind: str
     value: float
     failure_prob: float
-    applicable: bool
     formula: str
 
 
 def bound_matrix(g: Graph, meta: ConstructionMeta) -> list[BoundRow]:
-    """Instantiate every applicable cover-time / height ceiling for g.
+    """Instantiate every cover-time / height ceiling that applies to g.
 
-    Genus is taken from declared metadata, never computed.  The expansion row
-    needs the exact boundary profile and is only applicable for n within the
-    budget.  The measured diameter is used unless n*m makes that too costly,
-    in which case the declared bound stands in (noted in the formula).
+    A ceiling whose premises fail has no row.  The cover row always
+    applies; the height rows need an edge (max degree >= 1), and come in
+    the order max degree, degeneracy, genus, expansion.  Genus is taken
+    from declared metadata, never computed, and its row needs the genus
+    to be small against sqrt(max_degree)*(diameter + ln n).  The expansion
+    row needs the exact boundary profile, so n within the budget.  The
+    measured diameter is used unless n*m makes that too costly, in which
+    case the declared bound stands in (noted in the formula).
     """
     n, delta = g.n, g.max_degree
     if n * g.m <= _DIAMETER_COST_CAP:
-        diam = g.diameter()
-        diam_src = "diameter"
+        diam, diam_src = g.diameter(), "diameter"
     else:
-        diam = meta.declared_diameter_bound
-        diam_src = "declared_diameter_bound"
+        diam, diam_src = meta.declared_diameter_bound, "declared_diameter_bound"
     K = 4 * math.log(n) + 2 * diam
     p = 2.0 / n
-    rows = [
-        BoundRow(
-            check_id="cover_log_diameter",
-            kind="cover_time",
-            value=K,
-            failure_prob=p,
-            applicable=True,
-            formula=f"4*ln(n) + 2*{diam_src}",
-        )
+    rows = [BoundRow("cover_log_diameter", "cover_time", K, p, f"4*ln(n) + 2*{diam_src}")]
+    if delta < 1:  # a single vertex: the tree has no height to bound
+        return rows
+    # (check_id, a, formula) for a graph with at most a**L simple paths of
+    # length L from the start: the height stays below ceil(2*e*a*K) unless
+    # the cover time exceeds K.  p stays outside height_cutoff_plan, which
+    # refuses p = 1 (K_2).
+    cutoffs = [
+        ("height_max_degree", delta, f"ceil(2*e*max_degree*(4*ln(n) + 2*{diam_src}))"),
+        (
+            "height_degeneracy",
+            4.0 * math.sqrt(g.degeneracy_ordering().degeneracy * delta),
+            f"ceil(8*e*sqrt(degeneracy*max_degree)*(2*{diam_src} + 4*ln(n)))",
+        ),
     ]
-    if delta >= 1:
-        cut, fail = height_cutoff_plan(0.0, delta, 2.0, K)
-        fail = min(1.0, p + fail)
-        rows.append(
-            BoundRow(
-                check_id="height_max_degree",
-                kind="height",
-                value=cut,
-                failure_prob=fail,
-                applicable=True,
-                formula=f"ceil(2*e*max_degree*(4*ln(n) + 2*{diam_src}))",
-            )
-        )
-        degen = g.degeneracy_ordering().degeneracy
-        a = 4.0 * math.sqrt(max(degen, 1) * delta)
-        cut, fail = height_cutoff_plan(0.0, max(a, 1.0), 2.0, K)
-        fail = min(1.0, p + fail)
-        rows.append(
-            BoundRow(
-                check_id="height_degeneracy",
-                kind="height",
-                value=cut,
-                failure_prob=fail,
-                applicable=True,
-                formula="ceil(8*e*sqrt(degeneracy*max_degree)"
-                f"*(2*{diam_src} + 4*ln(n)))",
-            )
-        )
     genus = meta.declared_genus
-    genus_ok = (
-        genus is not None
-        and delta >= 1
-        and genus * math.log(max(delta, 2))
-        <= 36 * math.sqrt(delta) * (diam + math.log(n))
-    )
-    if genus_ok:
-        a = 8.0 * math.sqrt(6 * delta)
-        cut, fail = height_cutoff_plan(0.0, max(a, 1.0), 2.0, K)
-        fail = min(1.0, p + fail)
-    else:
-        cut, fail = 0, 1.0
-    rows.append(
-        BoundRow(
-            check_id="height_genus",
-            kind="height",
-            value=cut,
-            failure_prob=fail,
-            applicable=bool(genus_ok),
-            formula=f"ceil(16*e*sqrt(6*max_degree)*(2*{diam_src} + 4*ln(n)))",
-        )
-    )
-    if n <= _EXPANSION_BUDGET and delta >= 1:
+    genus_cap = 36 * math.sqrt(delta) * (diam + math.log(n))
+    if genus is not None and genus * math.log(max(delta, 2)) <= genus_cap:
+        cutoffs.append((
+            "height_genus",
+            8.0 * math.sqrt(6 * delta),
+            f"ceil(16*e*sqrt(6*max_degree)*(2*{diam_src} + 4*ln(n)))",
+        ))
+    for check_id, a, formula in cutoffs:
+        cut, fail = height_cutoff_plan(0.0, a, 2.0, K)
+        rows.append(BoundRow(check_id, "height", cut, min(1.0, p + fail), formula))
+    if n <= _EXPANSION_BUDGET:
         psi = float(g.expansion_profile(budget=_EXPANSION_BUDGET).inverse_boundary_sum)
         cut = math.ceil(4 * E * psi * delta)
-        rows.append(
-            BoundRow(
-                check_id="height_expansion",
-                kind="height",
-                value=cut,
-                failure_prob=2.0 ** (-cut),
-                applicable=True,
-                formula="ceil(4*e*inverse_boundary_sum*max_degree)",
-            )
-        )
-    else:
-        rows.append(
-            BoundRow(
-                check_id="height_expansion",
-                kind="height",
-                value=0,
-                failure_prob=1.0,
-                applicable=False,
-                formula="ceil(4*e*inverse_boundary_sum*max_degree)",
-            )
-        )
+        rows.append(BoundRow(
+            "height_expansion", "height", cut, 2.0 ** (-cut),
+            "ceil(4*e*inverse_boundary_sum*max_degree)",
+        ))
     return rows
 
 

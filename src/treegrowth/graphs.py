@@ -38,20 +38,14 @@ class BudgetExceededError(RuntimeError):
     """Raised when an exhaustive search would exceed its configured budget."""
 
 
-if hasattr(np, "bitwise_count"):
+_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
-    def _popcount_u64(x: np.ndarray) -> np.ndarray:
-        return np.bitwise_count(x)
 
-else:  # SWAR fallback for older numpy
-
-    def _popcount_u64(x: np.ndarray) -> np.ndarray:
-        x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-        x = (x & np.uint64(0x3333333333333333)) + (
-            (x >> np.uint64(2)) & np.uint64(0x3333333333333333)
-        )
-        x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-        return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
+def _popcount_u64(x: np.ndarray) -> np.ndarray:
+    """Set bits of each entry of a 1-D uint64 array, as int64: one table
+    lookup per byte, so it needs no numpy 2 ``bitwise_count``."""
+    per_byte = _BYTE_POPCOUNT[x.view(np.uint8)].reshape(x.size, 8)
+    return per_byte.sum(axis=1, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -388,7 +382,7 @@ class Graph:
             cut = np.zeros(masks.size, dtype=np.int64)
             for u, v in zip(u_arr, v_arr):
                 cut += (((masks >> u) ^ (masks >> v)) & one).astype(np.int64)
-            pop = _popcount_u64(masks).astype(np.int64)
+            pop = _popcount_u64(masks)
             np.minimum.at(best, pop, cut)
             np.minimum.at(best, n - pop, cut)
         return best

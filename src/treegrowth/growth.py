@@ -38,7 +38,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from treegrowth.graphs import BudgetExceededError, Graph, GraphError
+from treegrowth.graphs import _MAX_IDS, BudgetExceededError, Graph, GraphError
 from treegrowth.graphs import _forest_depths as forest_depths
 from treegrowth.randomness import sample_exponential
 
@@ -279,9 +279,13 @@ def grow_fpp_block(g: Graph, s: int, weights) -> FppBlock:
     if np.any(w < 0) or not np.all(np.isfinite(w)):
         raise GraphError("edge weights must be finite and non-negative")
     b, n, half = w.shape[0], g.n, g.adj_indices.size
-    offsets = np.arange(b, dtype=np.int64)
-    indptr = np.append((g.adj_indptr[:-1] + half * offsets[:, None]).ravel(), b * half)
-    indices = (g.adj_indices + n * offsets[:, None]).ravel()
+    # int32 while the stacked ids fit, so csr_matrix adopts them uncopied
+    idx = np.int32 if b * max(n, half) < _MAX_IDS else np.int64
+    offsets = np.arange(b, dtype=idx)
+    indptr = np.append(
+        (g.adj_indptr[:-1].astype(idx) + half * offsets[:, None]).ravel(), idx(b * half)
+    )
+    indices = (g.adj_indices.astype(idx, copy=False) + n * offsets[:, None]).ravel()
     data = w[:, g.adj_edge_ids].ravel()
     stacked = csr_matrix((data, indices, indptr), shape=(b * n, b * n))
     dist, pred, _ = dijkstra(

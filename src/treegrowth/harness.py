@@ -278,18 +278,19 @@ def _summarize_metric(name: str, values: list[float]) -> MetricSummary:
 def check_upper_bounds(
     records: list[TrialRecord], rows: list[BoundRow]
 ) -> list[Verdict]:
-    """Exceedance verdicts for every applicable closed-form ceiling.
+    """Exceedance verdicts, one per row of ``bound_matrix`` whose metric
+    the records hold.
 
-    Height rows exceed when height >= cutoff; cover rows when the cover time
-    is strictly above the bound.  The pass rule adds three binomial standard
-    errors of slack so sampling noise alone cannot fail a true bound.
+    A ceiling that does not apply to the graph has no row, so every row
+    is checked.  Height rows exceed when height >= cutoff; cover rows when
+    the cover time is strictly above the bound.  The pass rule adds three
+    binomial standard errors of slack so sampling noise alone cannot fail
+    a true bound.
     """
     heights = [r.height for r in records if r.height is not None]
     covers = [r.cover_time for r in records if r.cover_time is not None]
     verdicts = []
     for row in rows:
-        if not row.applicable:
-            continue
         values = heights if row.kind == "height" else covers
         if not values:
             continue

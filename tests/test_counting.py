@@ -228,7 +228,7 @@ def test_bound_matrix_k2_rows():
     assert rows["cover_log_diameter"].failure_prob == 1.0
     assert rows["height_max_degree"].value == math.ceil(2 * math.e * K)
     assert rows["height_max_degree"].kind == "height"
-    assert rows["height_expansion"].applicable
+    assert "height_expansion" in rows
     # Psi(K2) = 1, so the cutoff is ceil(4e).
     assert rows["height_expansion"].value == math.ceil(4 * math.e)
     assert rows["height_expansion"].failure_prob == 2.0 ** (-rows["height_expansion"].value)
@@ -238,7 +238,7 @@ def test_bound_matrix_k16_expansion_row():
     g, meta = build_family(FamilySpec("complete", {"n": 16}))
     rows = {r.check_id: r for r in bound_matrix(g, meta)}
     psi = sum(Fraction(1, k * (16 - k)) for k in range(1, 9))
-    assert rows["height_expansion"].applicable
+    assert "height_expansion" in rows
     assert rows["height_expansion"].value == math.ceil(4 * math.e * float(psi) * 15)
 
 
@@ -246,7 +246,7 @@ def test_bound_matrix_genus_row_on_grid():
     g, meta = build_family(FamilySpec("grid", {"d": 2, "k": 2}))
     rows = {r.check_id: r for r in bound_matrix(g, meta)}
     K = 4 * math.log(9) + 2 * 4
-    assert rows["height_genus"].applicable
+    assert "height_genus" in rows
     assert rows["height_genus"].value == math.ceil(16 * math.e * math.sqrt(24) * K)
     degen_row = rows["height_degeneracy"]
     assert degen_row.value == math.ceil(8 * math.e * math.sqrt(2 * 4) * K)
@@ -256,11 +256,146 @@ def test_bound_matrix_genus_row_on_grid():
 def test_bound_matrix_flags_inapplicable_rows():
     g, meta = build_family(FamilySpec("complete", {"n": 32}))
     rows = {r.check_id: r for r in bound_matrix(g, meta)}
-    assert not rows["height_expansion"].applicable  # exact profile capped at n=16
+    assert "height_expansion" not in rows  # exact profile capped at n=16
     lg, lmeta = build_family(FamilySpec("ladder_H", {"L": 3, "delta": 3}))
     lrows = {r.check_id: r for r in bound_matrix(lg, lmeta)}
     assert lmeta.declared_genus is None
-    assert not lrows["height_genus"].applicable
+    assert "height_genus" not in lrows
+    assert "height_expansion" in lrows
+
+
+# kind and formula of each row; {d} names the diameter the row used.
+ROW_FORMULAS = {
+    "cover_log_diameter": ("cover_time", "4*ln(n) + 2*{d}"),
+    "height_max_degree": ("height", "ceil(2*e*max_degree*(4*ln(n) + 2*{d}))"),
+    "height_degeneracy": (
+        "height", "ceil(8*e*sqrt(degeneracy*max_degree)*(2*{d} + 4*ln(n)))"
+    ),
+    "height_genus": ("height", "ceil(16*e*sqrt(6*max_degree)*(2*{d} + 4*ln(n)))"),
+    "height_expansion": ("height", "ceil(4*e*inverse_boundary_sum*max_degree)"),
+}
+
+# name: (family, diameter source, [(check_id, repr(value), repr(failure_prob))]),
+# every row bound_matrix gives, in order.  K_1 has no edge, so no height
+# row; the expansion row stops past n = 16 (K_16 against K_17); ladder_H
+# declares no genus; Q_14's n*m is past _DIAMETER_COST_CAP, so its rows
+# use the declared diameter bound.
+PINNED_ROWS = {
+    "K1": (
+        FamilySpec("complete", {"n": 1}), "diameter", [
+            ("cover_log_diameter", "0.0", "2.0"),
+        ],
+    ),
+    "K2": (
+        FamilySpec("complete", {"n": 2}), "diameter", [
+            ("cover_log_diameter", "4.772588722239782", "1.0"),
+            ("height_max_degree", "26", "1.0"),
+            ("height_degeneracy", "104", "1.0"),
+            ("height_genus", "509", "1.0"),
+            ("height_expansion", "11", "0.00048828125"),
+        ],
+    ),
+    "K16": (
+        FamilySpec("complete", {"n": 16}), "diameter", [
+            ("cover_log_diameter", "13.090354888959125", "0.125"),
+            ("height_max_degree", "1068", "0.125"),
+            ("height_degeneracy", "4270", "0.125"),
+            ("height_genus", "5402", "0.125"),
+            ("height_expansion", "36", "1.4551915228366852e-11"),
+        ],
+    ),
+    "K17": (
+        FamilySpec("complete", {"n": 17}), "diameter", [
+            ("cover_log_diameter", "13.332853376224865", "0.11764705882352941"),
+            ("height_max_degree", "1160", "0.11764705882352941"),
+            ("height_degeneracy", "4640", "0.11764705882352941"),
+            ("height_genus", "5682", "0.11764705882352941"),
+        ],
+    ),
+    "K32": (
+        FamilySpec("complete", {"n": 32}), "diameter", [
+            ("cover_log_diameter", "15.862943611198906", "0.0625"),
+            ("height_max_degree", "2674", "0.0625"),
+            ("height_degeneracy", "10694", "0.0625"),
+            ("height_genus", "9410", "0.0625"),
+        ],
+    ),
+    "K256": (
+        FamilySpec("complete", {"n": 256}), "diameter", [
+            ("cover_log_diameter", "24.18070977791825", "0.0078125"),
+            ("height_max_degree", "33523", "0.0078125"),
+            ("height_degeneracy", "134090", "0.0078125"),
+        ],
+    ),
+    "grid2x7": (
+        FamilySpec("grid", {"d": 2, "k": 7}), "diameter", [
+            ("cover_log_diameter", "44.63553233343869", "0.03125"),
+            ("height_max_degree", "971", "0.03125"),
+            ("height_degeneracy", "2746", "0.03125"),
+            ("height_genus", "9511", "0.03125"),
+        ],
+    ),
+    "grid3x3": (
+        FamilySpec("grid", {"d": 3, "k": 3}), "diameter", [
+            ("cover_log_diameter", "34.63553233343869", "0.03125"),
+            ("height_max_degree", "1130", "0.03125"),
+            ("height_degeneracy", "3196", "0.03125"),
+        ],
+    ),
+    "Q10": (
+        FamilySpec("grid", {"d": 10, "k": 1}), "diameter", [
+            ("cover_log_diameter", "47.725887222397816", "0.001953125"),
+            ("height_max_degree", "2595", "0.001953125"),
+            ("height_degeneracy", "10379", "0.001953125"),
+        ],
+    ),
+    "ladder_H_L16_delta4": (
+        FamilySpec("ladder_H", {"L": 16, "delta": 4}), "diameter", [
+            ("cover_log_diameter", "46.63553233343869", "0.03125"),
+            ("height_max_degree", "2029", "0.03125"),
+            ("height_degeneracy", "5737", "0.03125"),
+        ],
+    ),
+    "ladder_H_L3_delta3": (
+        FamilySpec("ladder_H", {"L": 3, "delta": 3}), "diameter", [
+            ("cover_log_diameter", "12.788898309344878", "0.2222222222222222"),
+            ("height_max_degree", "418", "0.2222222222222222"),
+            ("height_degeneracy", "1180", "0.2222222222222222"),
+            ("height_expansion", "49", "1.7763568394002505e-15"),
+        ],
+    ),
+    "glued_G_L4_delta1_a8_m2": (
+        FamilySpec("glued_G", {"L": 4, "delta": 1, "a": 8, "m": 2}), "diameter", [
+            ("cover_log_diameter", "17.591581091193483", "0.18181818181818182"),
+            ("height_max_degree", "287", "0.18181818181818182"),
+            ("height_degeneracy", "938", "0.18181818181818182"),
+            ("height_genus", "3247", "0.18181818181818182"),
+            ("height_expansion", "71", "4.235164736271502e-22"),
+        ],
+    ),
+    "Q14": (
+        FamilySpec("grid", {"d": 14, "k": 1}), "declared_diameter_bound", [
+            ("cover_log_diameter", "66.81624211135693", "0.0001220703125"),
+            ("height_max_degree", "5086", "0.0001220703125"),
+            ("height_degeneracy", "20343", "0.0001220703125"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_ROWS))
+def test_bound_matrix_rows_are_pinned(name):
+    spec, diam_src, expected = PINNED_ROWS[name]
+    g, meta = build_family(spec)
+    got = [
+        (r.check_id, r.kind, repr(r.value), repr(r.failure_prob), r.formula)
+        for r in bound_matrix(g, meta)
+    ]
+    want = []
+    for check_id, value, failure_prob in expected:
+        kind, formula = ROW_FORMULAS[check_id]
+        want.append((check_id, kind, value, failure_prob, formula.format(d=diam_src)))
+    assert got == want
 
 
 # -- reports ---------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from treegrowth import graphs
 from treegrowth.families import FamilySpec, build_family
 from treegrowth.graphs import BudgetExceededError, Graph, GraphError
 
@@ -301,6 +302,16 @@ def brute_boundary_minima(g):
         )
     out.append(0)
     return out
+
+
+def test_popcount_matches_int_bit_count():
+    rng = np.random.default_rng(7)
+    x = rng.integers(0, 2**64, size=4096, dtype=np.uint64, endpoint=False)
+    x[:4] = [0, 1, 2**63, 2**64 - 1]
+    x[4:] |= np.uint64(1) << rng.integers(56, 64, size=x.size - 4, dtype=np.uint64)
+    pop = graphs._popcount_u64(x)
+    assert pop.dtype == np.int64
+    assert pop.tolist() == [int(v).bit_count() for v in x.tolist()]
 
 
 def test_cycle_and_path_boundaries():

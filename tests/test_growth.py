@@ -508,6 +508,28 @@ def test_kernels_agree_bit_for_bit_on_int64_and_int32_csr(name, monkeypatch):
         np.testing.assert_array_equal(getattr(block, field), getattr(wide_block, field))
 
 
+@pytest.mark.parametrize("name", list(DTYPE_GRAPHS))
+def test_fpp_block_agrees_bit_for_bit_on_int64_and_int32_stacked_csr(name, monkeypatch):
+    # The stacked CSR is int32 while its ids fit; a zero limit forces the
+    # int64 arrays a block past 2**31 stacked ids would use.
+    g = DTYPE_GRAPHS[name]
+    w = sample_exponential(stream_for(2, g.n, g.m), (5, g.m))
+    seen = []
+    real = growth.csr_matrix
+
+    def spy(arg, **kwargs):
+        seen.append((arg[1].dtype, arg[2].dtype))
+        return real(arg, **kwargs)
+
+    monkeypatch.setattr(growth, "csr_matrix", spy)
+    block = grow_fpp_block(g, 0, w)
+    monkeypatch.setattr(growth, "_MAX_IDS", 0)
+    wide_block = grow_fpp_block(g, 0, w)
+    assert seen == [(np.int32, np.int32), (np.int64, np.int64)]
+    for field in ("dist", "parent", "depth"):
+        np.testing.assert_array_equal(getattr(block, field), getattr(wide_block, field))
+
+
 def test_discrete_tree_holds_one_batch_at_a_time():
     # One tree on K_2048 reads about n ln n uniforms in batches of 2(n - 1),
     # 4(n - 1), ...; only the batch being read is held, as a Python list of

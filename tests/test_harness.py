@@ -263,11 +263,11 @@ def _height_records(heights):
 
 def test_check_upper_bounds_rules():
     rows = [
-        BoundRow("height_max_degree", "height", 5, 0.05, True, "f"),
-        BoundRow("height_genus", "height", 0, 1.0, False, "g"),
+        BoundRow("height_max_degree", "height", 5, 0.05, "f"),
+        BoundRow("cover_log_diameter", "cover_time", 1.0, 0.05, "g"),
     ]
     bad = check_upper_bounds(_height_records([5] * 40), rows)
-    assert len(bad) == 1  # inapplicable rows are skipped
+    assert len(bad) == 1  # no cover times recorded, so no cover verdict
     assert bad[0].check_id == "height_max_degree"
     assert bad[0].empirical == 1.0 and not bad[0].passed
     good = check_upper_bounds(_height_records([4] * 40), rows)
