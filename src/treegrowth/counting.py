@@ -33,6 +33,8 @@ __all__ = [
 E = math.e
 _EXPANSION_BUDGET = 16  # largest n whose exact boundary profile bound_matrix computes
 _DIAMETER_COST_CAP = 2 * 10**8  # largest n*m for which bound_matrix measures the diameter
+# Kinds whose declared diameter bound is exact: 1 on K_n (n > 1), d*k on {0..k}**d.
+_EXACT_DIAMETER_KINDS = frozenset({"complete", "grid"})
 
 
 def ceil_sqrt(x: int) -> int:
@@ -198,23 +200,30 @@ class BoundRow:
 def bound_matrix(g: Graph, meta: ConstructionMeta) -> list[BoundRow]:
     """Instantiate every cover-time / height ceiling that applies to g.
 
-    A ceiling whose premises fail has no row.  The cover row always
-    applies; the height rows need an edge (max degree >= 1), and come in
-    the order max degree, degeneracy, genus, expansion.  Genus is taken
-    from declared metadata, never computed, and its row needs the genus
-    to be small against sqrt(max_degree)*(diameter + ln n).  The expansion
-    row needs the exact boundary profile, so n within the budget.  The
-    measured diameter is used unless n*m makes that too costly, in which
-    case the declared bound stands in (noted in the formula).
+    A ceiling whose premises fail has no row, and neither has one whose
+    allowance is 1 or more (the allowance p = 2/n on n <= 2), which no
+    outcome can exceed.  The cover row needs n >= 3; the height rows need
+    an edge (max degree >= 1), and come in the order max degree,
+    degeneracy, genus, expansion.  Genus is taken from declared metadata,
+    never computed, and its row needs the genus to be small against
+    sqrt(max_degree)*(diameter + ln n).  The expansion row needs the exact
+    boundary profile, so n within the budget.  The diameter is exact: the
+    closed form of a complete graph or grid, else measured, unless n*m
+    makes that too costly, in which case the declared bound stands in
+    (noted in the formula).
     """
     n, delta = g.n, g.max_degree
-    if n * g.m <= _DIAMETER_COST_CAP:
-        diam, diam_src = g.diameter(), "diameter"
-    else:
+    if n * g.m > _DIAMETER_COST_CAP:
         diam, diam_src = meta.declared_diameter_bound, "declared_diameter_bound"
+    elif meta.kind in _EXACT_DIAMETER_KINDS:
+        diam, diam_src = meta.declared_diameter_bound, "diameter"
+    else:
+        diam, diam_src = g.diameter(), "diameter"
     K = 4 * math.log(n) + 2 * diam
     p = 2.0 / n
-    rows = [BoundRow("cover_log_diameter", "cover_time", K, p, f"4*ln(n) + 2*{diam_src}")]
+    rows = []
+    if p < 1:
+        rows.append(BoundRow("cover_log_diameter", "cover_time", K, p, f"4*ln(n) + 2*{diam_src}"))
     if delta < 1:  # a single vertex: the tree has no height to bound
         return rows
     # (check_id, a, formula) for a graph with at most a**L simple paths of
@@ -239,7 +248,8 @@ def bound_matrix(g: Graph, meta: ConstructionMeta) -> list[BoundRow]:
         ))
     for check_id, a, formula in cutoffs:
         cut, fail = height_cutoff_plan(0.0, a, 2.0, K)
-        rows.append(BoundRow(check_id, "height", cut, min(1.0, p + fail), formula))
+        if p + fail < 1:
+            rows.append(BoundRow(check_id, "height", cut, p + fail, formula))
     if n <= _EXPANSION_BUDGET:
         psi = float(g.expansion_profile(budget=_EXPANSION_BUDGET).inverse_boundary_sum)
         cut = math.ceil(4 * E * psi * delta)

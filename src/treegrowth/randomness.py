@@ -10,13 +10,18 @@ the generator's ziggurat method: the same uniform stream then yields the
 same weights everywhere, which the law-equivalence and replay tests rely
 on.  Array draws run in place in the array that receives the uniforms, so
 a draw of n variates holds 8n bytes at its peak and no temporaries, and
-gives the same floats as the plain expression -log1p(-U) / rate.  The tail
-samplers draw in pieces of ``_DRAW_VALUES`` values into one cache-sized
-buffer and fold each piece into their output at once: an Erlang sum holds
-its output and that buffer, the two-stage sampler its output, one chunk of
-child weights and that buffer.  The uniforms are read in the same order
-and go through the same elementwise steps as a whole-array draw, so the
-floats, and the stream's next uniform, are the same.
+gives the same floats as the plain expression -log1p(-U) / rate.
+
+The tail checks stream their samples: the samplers yield them in pieces of
+at most ``_DRAW_VALUES`` values, and a check counts or adds each piece
+before the next is drawn, so its memory does not grow with the number of
+samples.  Where the stream layout puts a piece's uniforms far apart (pass
+j of an Erlang sum, the child and leaf weights of a two-stage chunk), a
+Philox cursor reads them in place: Philox is counter-based (Salmon et al.,
+SC 2011), so any later stretch of a stream is reached by setting its
+counter.  Each value is the same float, added in the same order, as when
+the stream is drawn straight through, and the stream is left at the same
+next uniform.  The public samplers lay the pieces end to end.
 
 The two-stage minimum is drawn through the identity min of b independent
 Exp(1) variables ~ Exp(1)/b: each child's cheapest leaf edge is one draw at
@@ -32,9 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Values per draw in the tail samplers: a 256 KiB buffer, small enough to
-# stay in cache between the draw and the fold into the output.
+# Values per piece in the tail samplers: 256 KiB buffers, small enough to
+# stay in cache between the draw and the count or sum that reads them.
 _DRAW_VALUES = 1 << 15
+# 64-bit words per step of the Philox4x64 counter, one uniform each.
+_PHILOX_BLOCK = 4
 
 
 def stream_for(master_seed: int, *path: int) -> np.random.Generator:
@@ -69,22 +76,113 @@ def sample_exponential(
     return u
 
 
+def _stream_ahead(stream: np.random.Generator, skip: int) -> np.random.Generator:
+    """A new generator reading ``stream``'s Philox stream ``skip`` uniforms on.
+
+    ``stream`` is left where it is.  Each step of the 256-bit block counter
+    gives four uniforms: what is left of the current block is skipped
+    through ``buffer_pos``, whole blocks by adding to the counter, and the
+    remainder by drawing it and throwing it away.
+    """
+    if not isinstance(stream.bit_generator, np.random.Philox):
+        raise TypeError(
+            f"a stream cursor needs Philox, got {type(stream.bit_generator).__name__}"
+        )
+    state = stream.bit_generator.state
+    # Uniforms past the end of the current block.
+    beyond = skip - (_PHILOX_BLOCK - state["buffer_pos"])
+    rest = 0
+    if beyond <= 0:
+        state["buffer_pos"] += skip
+    else:
+        blocks, rest = divmod(beyond, _PHILOX_BLOCK)
+        words = state["state"]["counter"]
+        counter = sum(int(w) << (64 * i) for i, w in enumerate(words)) + blocks
+        words[:] = [(counter >> (64 * i)) & (2**64 - 1) for i in range(len(words))]
+        state["buffer_pos"] = _PHILOX_BLOCK
+    ahead = np.random.Philox()  # its own seed is overwritten at once
+    ahead.state = state
+    ahead.random_raw(rest)
+    return np.random.Generator(ahead)
+
+
+def _require_k(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
+
+def _require_branching(a: int, b: int) -> None:
+    if a < 1 or b < 1:
+        raise ValueError(f"branching must be >= 1, got a={a}, b={b}")
+
+
+def _gather(pieces, size) -> np.ndarray:
+    """A new array of shape ``size`` holding ``pieces`` end to end."""
+    out = np.empty(size)
+    flat = out.reshape(-1)
+    start = 0
+    for piece in pieces:
+        flat[start : start + piece.size] = piece
+        start += piece.size
+    return out
+
+
+def _erlang_pieces(stream: np.random.Generator, k: int, n: int):
+    """The n values of ``sample_erlang(stream, k, n)``, ``_DRAW_VALUES`` at a
+    time; each piece is overwritten by the next.
+
+    Pass j of the k reads the n uniforms j*n on in the stream, through a
+    cursor of its own, and each piece adds the passes in order to zero.
+    """
+    cursors = [_stream_ahead(stream, j * n) for j in range(k)]
+    acc = np.empty(min(_DRAW_VALUES, n))
+    buf = np.empty_like(acc)
+    for start in range(0, n, _DRAW_VALUES):
+        piece = acc[: min(_DRAW_VALUES, n - start)]
+        piece.fill(0.0)
+        for cursor in cursors:
+            piece += sample_exponential(cursor, piece.size, out=buf[: piece.size])
+        yield piece
+    stream.bit_generator.state = cursors[-1].bit_generator.state
+
+
+def _two_stage_pieces(stream: np.random.Generator, a: int, b: int, n: int):
+    """The n values of ``sample_two_stage_min(stream, a, b, n)``, at most
+    ``_DRAW_VALUES // a`` rows at a time; each piece is overwritten by the
+    next.
+
+    Rows come in chunks of at most 2**20 values, and a chunk of c rows
+    starting at row s reads its c*a child weights 2*a*s uniforms on in the
+    stream, then its c*a leaf minima; a child cursor and a leaf cursor read
+    the two side by side.
+    """
+    chunk = max(1, (1 << 20) // a)
+    rows = max(1, _DRAW_VALUES // a)
+    child = np.empty((min(rows, n), a))
+    leaf = np.empty_like(child)
+    mins = np.empty(len(child))
+    for start in range(0, n, chunk):
+        c = min(chunk, n - start)
+        child_cursor = _stream_ahead(stream, 2 * a * start)
+        leaf_cursor = _stream_ahead(stream, 2 * a * start + c * a)
+        for lo in range(0, c, rows):
+            r = min(rows, c - lo)
+            ch = sample_exponential(child_cursor, (r, a), out=child[:r])
+            lf = sample_exponential(leaf_cursor, (r, a), rate=b, out=leaf[:r])
+            lf += ch  # leaf + child: IEEE addition commutes
+            yield lf.min(axis=1, out=mins[:r])
+    if n:
+        stream.bit_generator.state = leaf_cursor.bit_generator.state
+
+
 def sample_erlang(stream: np.random.Generator, k: int, size: int) -> np.ndarray:
     """Sum of k unit-rate exponentials.
 
-    The k passes over the output run in order, each drawn in pieces of
-    ``_DRAW_VALUES`` into one buffer and added to its slice of the output.
+    The k passes over the output read the stream in order, one after the
+    other; each value adds them to zero in pass order.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    out = np.zeros(size)
-    flat = out.reshape(-1)
-    buf = np.empty(min(_DRAW_VALUES, flat.size))
-    for _ in range(k):
-        for start in range(0, flat.size, _DRAW_VALUES):
-            piece = flat[start : start + _DRAW_VALUES]
-            piece += sample_exponential(stream, piece.size, out=buf[: piece.size])
-    return out
+    _require_k(k)
+    return _gather(_erlang_pieces(stream, k, int(np.prod(size))), size)
 
 
 def sample_two_stage_min(
@@ -96,27 +194,11 @@ def sample_two_stage_min(
     carries an independent unit-rate exponential weight.  A child's b leaf
     edges only matter through their minimum, which is Exp(1)/b, so each
     sample takes a child draws and a leaf-minimum draws at rate b: exactly
-    2a uniforms.  Rows come in chunks of at most 2**20 values: a chunk's
-    child weights are drawn whole, then its leaf minima ``_DRAW_VALUES // a``
-    rows at a time into one small buffer, which takes those rows' child
-    weights and gives their minima straight to the output.
+    2a uniforms.  The stream holds the rows in chunks of at most 2**20
+    values, each chunk's child weights followed by its leaf minima.
     """
-    if a < 1 or b < 1:
-        raise ValueError(f"branching must be >= 1, got a={a}, b={b}")
-    out = np.empty(size)
-    chunk = max(1, (1 << 20) // a)
-    rows = max(1, _DRAW_VALUES // a)
-    child = np.empty((min(chunk, size), a))
-    leaf = np.empty((min(rows, size), a))
-    for start in range(0, size, chunk):
-        c = min(chunk, size - start)
-        ch = sample_exponential(stream, (c, a), out=child[:c])
-        for lo in range(0, c, rows):
-            r = min(rows, c - lo)
-            lf = sample_exponential(stream, (r, a), rate=b, out=leaf[:r])
-            lf += ch[lo : lo + r]  # leaf + child: IEEE addition commutes
-            lf.min(axis=1, out=out[start + lo : start + lo + r])
-    return out
+    _require_branching(a, b)
+    return _gather(_two_stage_pieces(stream, a, b, size), size)
 
 
 # -- closed-form bounds -------------------------------------------------------
@@ -195,16 +277,25 @@ def _require_thresholds(t_values) -> tuple:
     return t_values
 
 
+def _tally(pieces, compare, thresholds) -> list[int]:
+    """Per threshold t, how many values across ``pieces`` have compare(value, t)."""
+    counts = [0] * len(thresholds)
+    for piece in pieces:
+        for i, t in enumerate(thresholds):
+            counts[i] += int(np.count_nonzero(compare(piece, t)))
+    return counts
+
+
 def check_erlang_head(
     stream: np.random.Generator, k: int, d: float, trials: int
 ) -> TailCheckReport:
     _require_trials(trials)
     if not (d > 0 and math.isfinite(d)):
         raise ValueError(f"d must be positive and finite, got {d}")
-    x = sample_erlang(stream, k, trials)
+    _require_k(k)
     t = k / d
-    phat = float(np.mean(x <= t))
-    row = _row(t, phat, erlang_head_bound(k, d), trials)
+    (hits,) = _tally(_erlang_pieces(stream, k, trials), np.less_equal, (t,))
+    row = _row(t, hits / trials, erlang_head_bound(k, d), trials)
     return TailCheckReport(f"erlang_head_k{k}_d{d:g}", trials, (row,))
 
 
@@ -213,12 +304,14 @@ def check_erlang_tail(
 ) -> TailCheckReport:
     _require_trials(trials)
     t_values = _require_thresholds(t_values)
-    x = sample_erlang(stream, k, trials)
-    rows = []
-    for t in t_values:
-        phat = float(np.mean(x >= k * t))
-        rows.append(_row(k * t, phat, erlang_tail_bound(k, t), trials))
-    return TailCheckReport(f"erlang_tail_k{k}", trials, tuple(rows))
+    _require_k(k)
+    thresholds = [k * t for t in t_values]
+    hits = _tally(_erlang_pieces(stream, k, trials), np.greater_equal, thresholds)
+    rows = tuple(
+        _row(thr, h / trials, erlang_tail_bound(k, t), trials)
+        for t, thr, h in zip(t_values, thresholds, hits)
+    )
+    return TailCheckReport(f"erlang_tail_k{k}", trials, rows)
 
 
 def check_two_stage_tail(
@@ -226,12 +319,13 @@ def check_two_stage_tail(
 ) -> TailCheckReport:
     _require_trials(trials)
     t_values = _require_thresholds(t_values)
-    y = sample_two_stage_min(stream, a, b, trials)
-    rows = []
-    for t in t_values:
-        phat = float(np.mean(y > t))
-        rows.append(_row(float(t), phat, two_stage_tail_bound(a, b, t), trials))
-    return TailCheckReport(f"two_stage_tail_a{a}_b{b}", trials, tuple(rows))
+    _require_branching(a, b)
+    hits = _tally(_two_stage_pieces(stream, a, b, trials), np.greater, t_values)
+    rows = tuple(
+        _row(float(t), h / trials, two_stage_tail_bound(a, b, t), trials)
+        for t, h in zip(t_values, hits)
+    )
+    return TailCheckReport(f"two_stage_tail_a{a}_b{b}", trials, rows)
 
 
 def check_two_stage_sum(
@@ -240,10 +334,14 @@ def check_two_stage_sum(
     _require_trials(trials)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
+    _require_branching(a, b)
     total = np.zeros(trials)
     for _ in range(m):
-        total += sample_two_stage_min(stream, a, b, trials)
+        start = 0
+        for piece in _two_stage_pieces(stream, a, b, trials):
+            total[start : start + piece.size] += piece
+            start += piece.size
     thr = two_stage_sum_threshold(a, b, m)
-    phat = float(np.mean(total >= thr))
-    row = _row(thr, phat, two_stage_sum_bound(m), trials)
+    (hits,) = _tally((total,), np.greater_equal, (thr,))
+    row = _row(thr, hits / trials, two_stage_sum_bound(m), trials)
     return TailCheckReport(f"two_stage_sum_a{a}_b{b}_m{m}", trials, (row,))

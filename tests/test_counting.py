@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from treegrowth.counting import (
+    _EXACT_DIAMETER_KINDS,
     bound_matrix,
     bound_paths_genus,
     bound_walks_degenerate,
@@ -221,14 +222,11 @@ def test_height_cutoff_monotone(a1, a2, c1, c2, k1, k2):
 
 
 def test_bound_matrix_k2_rows():
+    # p = 2/n = 1 on K_2: the cover and cutoff rows would carry allowance
+    # 1.0, which no outcome exceeds, so they have no row.
     g, meta = build_family(FamilySpec("complete", {"n": 2}))
     rows = {r.check_id: r for r in bound_matrix(g, meta)}
-    K = 4 * math.log(2) + 2
-    assert rows["cover_log_diameter"].value == pytest.approx(K)
-    assert rows["cover_log_diameter"].failure_prob == 1.0
-    assert rows["height_max_degree"].value == math.ceil(2 * math.e * K)
-    assert rows["height_max_degree"].kind == "height"
-    assert "height_expansion" in rows
+    assert list(rows) == ["height_expansion"]
     # Psi(K2) = 1, so the cutoff is ceil(4e).
     assert rows["height_expansion"].value == math.ceil(4 * math.e)
     assert rows["height_expansion"].failure_prob == 2.0 ** (-rows["height_expansion"].value)
@@ -264,6 +262,34 @@ def test_bound_matrix_flags_inapplicable_rows():
     assert "height_expansion" in lrows
 
 
+EXACT_DIAMETER_SPECS = (
+    [FamilySpec("complete", {"n": n}) for n in range(1, 13)]
+    + [FamilySpec("grid", {"d": d, "k": k}) for d in range(1, 5) for k in (2, 3)]
+    + [FamilySpec("grid", {"d": d, "k": 1}) for d in range(1, 9)]
+)
+
+
+@pytest.mark.parametrize(
+    "spec", EXACT_DIAMETER_SPECS,
+    ids=[f"{s.kind}{tuple(s.params.values())}" for s in EXACT_DIAMETER_SPECS],
+)
+def test_closed_form_diameter_is_exact(spec):
+    g, meta = build_family(spec)
+    assert meta.kind in _EXACT_DIAMETER_KINDS
+    assert meta.declared_diameter_bound == g.diameter()
+
+
+def test_bound_matrix_skips_the_bfs_where_the_diameter_is_closed_form(monkeypatch):
+    def no_bfs(self):
+        raise AssertionError("all-source BFS on a closed-form kind")
+
+    g, meta = build_family(FamilySpec("grid", {"d": 3, "k": 3}))
+    kg, kmeta = build_family(FamilySpec("complete", {"n": 32}))
+    monkeypatch.setattr(Graph, "diameter", no_bfs)
+    assert bound_matrix(g, meta)[0].formula == "4*ln(n) + 2*diameter"
+    assert bound_matrix(kg, kmeta)[0].formula == "4*ln(n) + 2*diameter"
+
+
 # kind and formula of each row; {d} names the diameter the row used.
 ROW_FORMULAS = {
     "cover_log_diameter": ("cover_time", "4*ln(n) + 2*{d}"),
@@ -276,22 +302,15 @@ ROW_FORMULAS = {
 }
 
 # name: (family, diameter source, [(check_id, repr(value), repr(failure_prob))]),
-# every row bound_matrix gives, in order.  K_1 has no edge, so no height
-# row; the expansion row stops past n = 16 (K_16 against K_17); ladder_H
+# every row bound_matrix gives, in order.  K_1 and K_2 have allowance
+# p = 2/n >= 1, so no cover or cutoff row, and K_1 has no edge, so no
+# height row; the expansion row stops past n = 16 (K_16 against K_17); ladder_H
 # declares no genus; Q_14's n*m is past _DIAMETER_COST_CAP, so its rows
 # use the declared diameter bound.
 PINNED_ROWS = {
-    "K1": (
-        FamilySpec("complete", {"n": 1}), "diameter", [
-            ("cover_log_diameter", "0.0", "2.0"),
-        ],
-    ),
+    "K1": (FamilySpec("complete", {"n": 1}), "diameter", []),
     "K2": (
         FamilySpec("complete", {"n": 2}), "diameter", [
-            ("cover_log_diameter", "4.772588722239782", "1.0"),
-            ("height_max_degree", "26", "1.0"),
-            ("height_degeneracy", "104", "1.0"),
-            ("height_genus", "509", "1.0"),
             ("height_expansion", "11", "0.00048828125"),
         ],
     ),

@@ -22,6 +22,7 @@ from treegrowth.families import FamilySpec, build_family
 from treegrowth.growth import sample_edge_weights
 from treegrowth.randomness import (
     _DRAW_VALUES,
+    _stream_ahead,
     check_erlang_head,
     check_erlang_tail,
     check_two_stage_sum,
@@ -377,3 +378,206 @@ def test_two_stage_min_allocates_its_chunk_buffers_once():
     size = 10**6
     assert peak_in_outputs(
         lambda: sample_two_stage_min(stream_for(37, 2), 8, 4, size), size) <= 2.5
+
+
+# -- Philox cursors -------------------------------------------------------------
+
+
+def stream_at(buffer_pos, counter=None):
+    """A stream of a fixed seed, four words into its second block, with
+    ``buffer_pos`` and optionally the counter words set through its state."""
+    stream = stream_for(41, 0)
+    stream.random(8)
+    state = stream.bit_generator.state
+    state["buffer_pos"] = buffer_pos
+    if counter is not None:
+        state["state"]["counter"][:] = counter
+    stream.bit_generator.state = state
+    return stream
+
+
+TOP = 2**64 - 1
+
+
+@pytest.mark.parametrize("buffer_pos", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("skip", range(10))
+def test_stream_ahead_reads_what_follows_skip_uniforms(skip, buffer_pos):
+    # The counter as drawn, then with a carry out of word 0, out of words 0
+    # and 1, and out of all four (the 256-bit counter wraps to 0).
+    for counter in (None, [TOP, 0, 0, 0], [TOP, TOP, 7, 0], [TOP] * 4):
+        stream = stream_at(buffer_pos, counter)
+        ahead = _stream_ahead(stream, skip)
+        twin = stream_at(buffer_pos, counter)
+        twin.random(skip)
+        assert np.array_equal(ahead.random(13), twin.random(13))
+        # The stream itself has not moved.
+        assert np.array_equal(stream.random(13), stream_at(buffer_pos, counter).random(13))
+
+
+@pytest.mark.parametrize("skip", [4 * 2**20, 10**6 + 3])
+def test_stream_ahead_skips_whole_blocks(skip):
+    ahead = _stream_ahead(stream_at(2), skip)
+    twin = stream_at(2)
+    twin.random(skip)
+    assert np.array_equal(ahead.random(9), twin.random(9))
+
+
+def test_stream_ahead_refuses_a_stream_that_is_not_philox():
+    with pytest.raises(TypeError, match="Philox"):
+        _stream_ahead(np.random.default_rng(0), 1)
+
+
+# -- tail reports, pinned bit for bit ----------------------------------------------
+
+# (check, args, trials, stream path, rows as (repr(threshold), repr(empirical),
+# repr(bound), passed)), captured from the samplers that drew each check's
+# samples whole.  The first six are the benchmark's tail_battery at seed 1,
+# the rest the 10**6-sample checks of criteria 7 and 8 (master seed 7).
+PINNED_TAIL_REPORTS = {
+    "bench_two_stage_tail_a8_b4": (
+        check_two_stage_tail, (8, 4, (0.5, 1, 2, 4, 8)), 200_000, (1, 700, 0), [
+            ("0.5", "0.11662", "1.0", True),
+            ("1.0", "0.002925", "1.0", True),
+            ("2.0", "0.0", "1.0", True),
+            ("4.0", "0.0", "1.0", True),
+            ("8.0", "0.0", "0.503214724408055", True),
+        ],
+    ),
+    "bench_two_stage_sum_a8_b4_m9": (
+        check_two_stage_sum, (8, 4, 9), 20_000, (1, 700, 0, 9), [
+            ("5103.522071561416", "0.0", "0.36787944117144233", True),
+        ],
+    ),
+    "bench_two_stage_tail_a16_b16": (
+        check_two_stage_tail, (16, 16, (0.5, 1, 2, 4, 8)), 200_000, (1, 700, 1), [
+            ("0.5", "0.00099", "1.0", True),
+            ("1.0", "0.0", "1.0", True),
+            ("2.0", "0.0", "0.9744101008840758", True),
+            ("4.0", "0.0", "0.3861950800601765", True),
+            ("8.0", "0.0", "0.1353353957717874", True),
+        ],
+    ),
+    "bench_two_stage_sum_a16_b16_m9": (
+        check_two_stage_sum, (16, 16, 9), 20_000, (1, 700, 1, 9), [
+            ("1836.0", "0.0", "0.36787944117144233", True),
+        ],
+    ),
+    "bench_erlang_head_k10_d4": (
+        check_erlang_head, (10, 4), 10**6, (1, 800, 0), [
+            ("2.5", "0.000294", "0.02100607470970793", True),
+        ],
+    ),
+    "bench_erlang_tail_k10": (
+        check_erlang_tail, (10, (3, 5)), 10**6, (1, 800, 1), [
+            ("30", "9e-06", "0.006737946999085467", True),
+            ("50", "0.0", "3.059023205018258e-07", True),
+        ],
+    ),
+    "c7_two_stage_tail_a4_b1": (
+        check_two_stage_tail, (4, 1, (0.5, 1, 2, 4, 8)), 10**6, (7, 700, 0), [
+            ("0.5", "0.685432", "1.0", True),
+            ("1.0", "0.293847", "1.0", True),
+            ("2.0", "0.026997", "1.0", True),
+            ("4.0", "5.9e-05", "1.0", True),
+            ("8.0", "0.0", "1.0", True),
+        ],
+    ),
+    "c7_two_stage_tail_a8_b4": (
+        check_two_stage_tail, (8, 4, (0.5, 1, 2, 4, 8)), 10**6, (7, 700, 1), [
+            ("0.5", "0.115692", "1.0", True),
+            ("1.0", "0.003016", "1.0", True),
+            ("2.0", "0.0", "1.0", True),
+            ("4.0", "0.0", "1.0", True),
+            ("8.0", "0.0", "0.503214724408055", True),
+        ],
+    ),
+    "c7_two_stage_tail_a16_b16": (
+        check_two_stage_tail, (16, 16, (0.5, 1, 2, 4, 8)), 10**6, (7, 700, 2), [
+            ("0.5", "0.000994", "1.0", True),
+            ("1.0", "0.0", "1.0", True),
+            ("2.0", "0.0", "0.9744101008840758", True),
+            ("4.0", "0.0", "0.3861950800601765", True),
+            ("8.0", "0.0", "0.1353353957717874", True),
+        ],
+    ),
+    "c8_erlang_head_k5_d4": (
+        check_erlang_head, (5, 4), 10**6, (7, 800, 0, 0), [
+            ("1.25", "0.009122", "0.14493472568610993", True),
+        ],
+    ),
+    "c8_erlang_head_k5_d8": (
+        check_erlang_head, (5, 8), 10**6, (7, 800, 0, 1), [
+            ("0.625", "0.000507", "0.004529210177690935", True),
+        ],
+    ),
+    "c8_erlang_tail_k5": (
+        check_erlang_tail, (5, (3, 5)), 10**6, (7, 800, 0, 9), [
+            ("15", "0.000864", "0.0820849986238988", True),
+            ("25", "0.0", "0.0005530843701478336", True),
+        ],
+    ),
+    "c8_erlang_head_k10_d4": (
+        check_erlang_head, (10, 4), 10**6, (7, 800, 1, 0), [
+            ("2.5", "0.000288", "0.02100607470970793", True),
+        ],
+    ),
+    "c8_erlang_head_k10_d8": (
+        check_erlang_head, (10, 8), 10**6, (7, 800, 1, 1), [
+            ("1.25", "2e-06", "2.051374483369915e-05", True),
+        ],
+    ),
+    "c8_erlang_tail_k10": (
+        check_erlang_tail, (10, (3, 5)), 10**6, (7, 800, 1, 9), [
+            ("30", "7e-06", "0.006737946999085467", True),
+            ("50", "0.0", "3.059023205018258e-07", True),
+        ],
+    ),
+    "c8_erlang_head_k20_d4": (
+        check_erlang_head, (20, 4), 10**6, (7, 800, 2, 0), [
+            ("5.0", "0.0", "0.00044125517470983117", True),
+        ],
+    ),
+    "c8_erlang_head_k20_d8": (
+        check_erlang_head, (20, 8), 10**6, (7, 800, 2, 1), [
+            ("2.5", "0.0", "4.2081372710211866e-10", True),
+        ],
+    ),
+    "c8_erlang_tail_k20": (
+        check_erlang_tail, (20, (3, 5)), 10**6, (7, 800, 2, 9), [
+            ("60", "0.0", "4.5399929762484854e-05", True),
+            ("100", "0.0", "9.357622968840175e-14", True),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_TAIL_REPORTS))
+def test_tail_reports_are_pinned(name):
+    check, args, trials, path, rows = PINNED_TAIL_REPORTS[name]
+    report = check(stream_for(*path), *args, trials)
+    got = [(repr(r.threshold), repr(r.empirical), repr(r.bound), r.passed)
+           for r in report.rows]
+    assert got == rows
+    assert all(type(r.empirical) is float and type(r.passed) is bool for r in report.rows)
+
+
+# -- traced peak of the checks, which stream their samples -------------------
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: check_two_stage_tail(s, 4, 1, (0.5, 1, 2, 4, 8), 10**6),
+    lambda s: check_erlang_head(s, 20, 4, 10**6),
+    lambda s: check_erlang_tail(s, 10, (3, 5), 10**6),
+    lambda s: check_two_stage_sum(s, 8, 4, 36, 10**5),
+], ids=["two_stage_tail_a4", "erlang_head_k20", "erlang_tail_k10", "two_stage_sum_a8_m36"])
+def test_checks_hold_their_samples_in_pieces(call):
+    # Holding every sample read 15.9, 8.6, 8.6 and 7.9 MiB; in pieces,
+    # 0.5-1.4 MiB (the sum keeps its 10**5 totals).
+    stream = stream_for(37, 3)
+    tracemalloc.start()
+    try:
+        call(stream)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
