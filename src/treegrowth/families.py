@@ -83,6 +83,12 @@ class ConstructionMeta:
     construction, and the build step cross-checks the max degree against
     the realized graph.  Degeneracy and diameter declarations are upper
     bounds, which keeps every bound check that consumes them valid.
+
+    ``tree_edges`` lists the edges of the tree I as (parent, child) pairs
+    from the root down: each child appears once, and each parent is
+    ``tree_root`` or a child listed earlier.  Internal nodes come in heap
+    order, and each leaf's subdivided path runs from its heap parent down to
+    the leaf, so I's shape is read from these pairs alone.
     """
 
     kind: str
@@ -168,8 +174,9 @@ def _subdivided_tree_edges(
     L: int, m: int, leaf_ids, internal_base: int, subdiv_base: int
 ) -> list[tuple[int, int]]:
     """Perfect binary tree with L leaves, leaf edges subdivided into m-edge
-    paths.  Internal node h (heap order) is internal_base + h; subdivision
-    vertex t of leaf j is subdiv_base + j*(m-1) + t; leaf ids are supplied.
+    paths, as (parent, child) pairs from the root down.  Internal node h
+    (heap order) is internal_base + h; subdivision vertex t of leaf j is
+    subdiv_base + j*(m-1) + t; leaf ids are supplied.
     """
     edges: list[tuple[int, int]] = []
     for h in range(L - 1):
@@ -406,7 +413,8 @@ def _build_ladder(plan: dict) -> tuple[Graph, ConstructionMeta]:
         kind="ladder_H",
         params=plan["params"],
         declared_max_degree=max_deg,
-        declared_diameter_bound=L - 1 if L > 1 else 0,
+        # Two vertices of one group meet only through a neighbouring group.
+        declared_diameter_bound=L - 1 if delta == 1 else max(L - 1, 2),
         declared_degeneracy=0 if L == 1 else delta,
         declared_genus=0 if delta <= 2 else None,
         target_vertex=(L - 1) * delta,
@@ -503,46 +511,16 @@ def _build_glued(plan: dict) -> tuple[Graph, ConstructionMeta]:
     )
 
 
-def _build_planar_lower(plan: dict) -> tuple[Graph, ConstructionMeta]:
-    """Chain of independent groups joined by single connector vertices.
-
-    Group i occupies [i*(delta+1), i*(delta+1)+delta); connector i sits at
-    i*(delta+1)+delta and is joined to all of groups i and i+1.
-    """
-    L, delta = plan["params"]["L"], plan["params"]["delta"]
-    groups = [
-        np.arange(i * (delta + 1), i * (delta + 1) + delta, dtype=np.int64)
-        for i in range(L)
-    ]
-    connectors = [i * (delta + 1) + delta for i in range(L - 1)]
-    h_blocks = []
-    for i, c in enumerate(connectors):
-        c_arr = np.array([c], dtype=np.int64)
-        h_blocks.append(_bipartite(c_arr, groups[i]))
-        h_blocks.append(_bipartite(c_arr, groups[i + 1]))
-    group_deg = (2 if L >= 3 else 1) + 1
-    tree_deg = 3 if L >= 4 else 2
-    return _finish_chain(
-        plan,
-        h_blocks,
-        groups,
-        tuple((c,) for c in connectors),
-        declared_max_degree=max(2 * delta, group_deg, tree_deg),
-        declared_degeneracy=3,
-        declared_genus=0,
-        height_target=2 * L - 2,
-    )
-
-
-def _build_degenerate_lower(plan: dict) -> tuple[Graph, ConstructionMeta]:
-    """Chain alternating groups of delta vertices with groups of d vertices,
-    consecutive groups fully joined.
+def _separated_chain(
+    plan: dict, d: int, declared_degeneracy: int, declared_genus
+) -> tuple[Graph, ConstructionMeta]:
+    """Chain alternating groups of delta vertices with small groups of d
+    vertices, consecutive groups fully joined.
 
     Block i holds group i at [i*(delta+d), i*(delta+d)+delta) and small
     group i right after it.
     """
-    r = plan["params"]
-    L, delta, d = r["L"], r["delta"], r["d"]
+    L, delta = plan["params"]["L"], plan["params"]["delta"]
     block = delta + d
     groups = [np.arange(i * block, i * block + delta, dtype=np.int64) for i in range(L)]
     smalls = [
@@ -561,10 +539,22 @@ def _build_degenerate_lower(plan: dict) -> tuple[Graph, ConstructionMeta]:
         groups,
         tuple(tuple(int(v) for v in s) for s in smalls),
         declared_max_degree=max(2 * delta, group_deg, tree_deg),
-        declared_degeneracy=2 * d,
-        declared_genus=None,
+        declared_degeneracy=declared_degeneracy,
+        declared_genus=declared_genus,
         height_target=2 * L - 2,
     )
+
+
+def _build_planar_lower(plan: dict) -> tuple[Graph, ConstructionMeta]:
+    """The separated chain with single connector vertices (d = 1), which
+    stays planar with the tree glued on."""
+    return _separated_chain(plan, 1, declared_degeneracy=3, declared_genus=0)
+
+
+def _build_degenerate_lower(plan: dict) -> tuple[Graph, ConstructionMeta]:
+    """The separated chain with small groups of d vertices."""
+    d = plan["params"]["d"]
+    return _separated_chain(plan, d, declared_degeneracy=2 * d, declared_genus=None)
 
 
 # -- the family table ---------------------------------------------------------------------
@@ -653,11 +643,12 @@ def build_tree_decomposition_degenerate(
 ) -> TreeDecomposition:
     """Tree decomposition of a degenerate_lower_G instance.
 
-    The bag tree has the shape of the bypass tree I.  Each I vertex v gets
-    the bag {v, parent(v)}; the leaf bag for group i additionally holds
-    small groups i-1 and i; small group i is then added along the bag-tree
-    path between consecutive leaves i and i+1; and each non-glued vertex x
-    of group i gets its own leaf bag {x} + small groups i-1 and i.
+    The bag tree has the shape of the bypass tree I, read from
+    ``meta.tree_edges``.  Each I vertex v gets the bag {v, parent(v)};
+    small group i is added along the bag-tree path between consecutive
+    leaves i and i+1, so the leaf bag for group i holds small groups i-1
+    and i; and each non-glued vertex x of group i gets its own leaf bag
+    {x} + small groups i-1 and i.
 
     The result is always a valid decomposition.  Its width is at most
     2d + 1 when L <= 4; for larger L the bottom branching vertices lie on
@@ -665,68 +656,35 @@ def build_tree_decomposition_degenerate(
     """
     if meta.kind != "degenerate_lower_G":
         raise FamilyError("decomposition construction is specific to degenerate_lower_G")
-    L = meta.params["L"]
-    smalls = [set(s) for s in meta.small_groups]
-    empty: set = set()
+    # Small group i sits between groups i and i + 1; the padding stands for
+    # the missing neighbours of the end groups.
+    smalls = [set(), *(set(s) for s in meta.small_groups), set()]
+    parent = {child: par for par, child in meta.tree_edges}
+    bags = {meta.tree_root: {meta.tree_root}}
+    for par, child in meta.tree_edges:
+        bags[child] = {child, par}
 
-    # Parent structure of I from its edge list, rooted at tree_root.
-    adj: dict[int, list[int]] = {}
-    for u, v in meta.tree_edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    parent = {meta.tree_root: None}
-    stack = [meta.tree_root]
-    order = []
-    while stack:
-        x = stack.pop()
-        order.append(x)
-        for y in adj[x]:
-            if y not in parent:
-                parent[y] = x
-                stack.append(y)
+    # Every leaf of I lies at the same depth, so the path between two leaves
+    # climbs from both in step until they meet.
+    leaves = meta.leaf_vertices
+    for i in range(len(leaves) - 1):
+        u, v = leaves[i], leaves[i + 1]
+        path = {u, v}
+        while u != v:
+            u, v = parent[u], parent[v]
+            path |= {u, v}
+        for x in path:
+            bags[x] |= smalls[i + 1]
 
-    bags: dict[int, set] = {}
-    for x in order:
-        bags[x] = {x} if parent[x] is None else {x, parent[x]}
-
-    leaves = list(meta.leaf_vertices)
-    for i, leaf in enumerate(leaves):
-        before = smalls[i - 1] if i > 0 else empty
-        after = smalls[i] if i < L - 1 else empty
-        bags[leaf] |= before | after
-
-    def path_between(u: int, v: int) -> list[int]:
-        au, av = [u], [v]
-        su, sv = {u}, {v}
-        while True:
-            pu, pv = parent[au[-1]], parent[av[-1]]
-            if pu is not None:
-                if pu in sv:
-                    return au + av[: av.index(pu) + 1][::-1]
-                au.append(pu)
-                su.add(pu)
-            if pv is not None:
-                if pv in su:
-                    return au[: au.index(pv) + 1] + av[::-1]
-                av.append(pv)
-                sv.add(pv)
-
-    for i in range(L - 1):
-        for x in path_between(leaves[i], leaves[i + 1]):
-            bags[x] |= smalls[i]
-
-    node_index = {x: j for j, x in enumerate(order)}
-    bag_list = [frozenset(bags[x]) for x in order]
-    edge_list = [
-        (node_index[parent[x]], node_index[x]) for x in order if parent[x] is not None
-    ]
+    node_index = {x: j for j, x in enumerate(bags)}
+    bag_list = [frozenset(b) for b in bags.values()]
+    edge_list = [(node_index[par], node_index[child]) for par, child in meta.tree_edges]
     for i, grp in enumerate(meta.main_groups):
-        before = smalls[i - 1] if i > 0 else empty
-        after = smalls[i] if i < L - 1 else empty
+        around = smalls[i] | smalls[i + 1]
         anchor = node_index[leaves[i]]
         for x in grp[1:]:  # grp[0] is the glued leaf, already in the bag tree
             edge_list.append((anchor, len(bag_list)))
-            bag_list.append(frozenset({x} | before | after))
+            bag_list.append(frozenset({x} | around))
     return TreeDecomposition(tuple(bag_list), tuple(edge_list))
 
 

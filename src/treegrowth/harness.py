@@ -364,28 +364,23 @@ def _make_context(spec: ExperimentSpec, max_vertices: int) -> _TrialContext:
 def _tree_edge_index(g: Graph, meta) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Edge ids of the tree I, laid out for the leaf-pair DP.
 
-    I is a perfect binary tree in heap order: internal node h is vertex
-    n_H + h, leaf j sits at heap position L - 1 + j, and its path of m
-    edges runs from its heap parent through subdivision vertices
-    n_H + L - 1 + j*(m - 1) + t to the glued leaf vertex.
+    I is read from ``meta.tree_edges``, its (parent, child) pairs.  Each
+    leaf's path of m edges is climbed from the leaf and kept from its heap
+    parent down; the internal levels above are then climbed a parent at a
+    time.  Leaves come in heap order, so each level does too.
     """
-    L, m, n_h = meta.params["L"], meta.params["m"], meta.chain_vertex_count
-    j = np.arange(L)
-    path = np.concatenate(
-        [
-            (n_h + (L - 2 + j) // 2)[:, None],
-            n_h + L - 1 + j[:, None] * (m - 1) + np.arange(m - 1),
-            np.asarray(meta.leaf_vertices)[:, None],
-        ],
-        axis=1,
-    )
+    parent = {child: par for par, child in meta.tree_edges}
+    climb = [list(meta.leaf_vertices)]
+    for _ in range(meta.params["m"]):
+        climb.append([parent[v] for v in climb[-1]])
+    path = np.array(climb[::-1]).T  # (L, m + 1), heap parent first
     leaf_paths = g.edge_ids(path[:, :-1], path[:, 1:])
     up_edges = []
-    width = L // 2
-    while width > 1:  # the internal level of `width` nodes, bottom first
-        h = np.arange(width - 1, 2 * width - 1)
-        up_edges.append(g.edge_ids(n_h + h, n_h + (h - 1) // 2))
-        width //= 2
+    level = path[::2, 0]  # the bottom internal level: siblings share a parent
+    while len(level) > 1:
+        up = np.array([parent[v] for v in level.tolist()])
+        up_edges.append(g.edge_ids(level, up))
+        level = up[::2]
     return leaf_paths, tuple(up_edges)
 
 

@@ -80,28 +80,21 @@ def _stream_ahead(stream: np.random.Generator, skip: int) -> np.random.Generator
     """A new generator reading ``stream``'s Philox stream ``skip`` uniforms on.
 
     ``stream`` is left where it is.  Each step of the 256-bit block counter
-    gives four uniforms: what is left of the current block is skipped
-    through ``buffer_pos``, whole blocks by adding to the counter, and the
-    remainder by drawing it and throwing it away.
+    gives four uniforms: what is left of the current block is drawn and
+    thrown away, whole blocks are jumped by ``Philox.advance``, and the
+    remainder is drawn and thrown away.
     """
     if not isinstance(stream.bit_generator, np.random.Philox):
         raise TypeError(
             f"a stream cursor needs Philox, got {type(stream.bit_generator).__name__}"
         )
-    state = stream.bit_generator.state
-    # Uniforms past the end of the current block.
-    beyond = skip - (_PHILOX_BLOCK - state["buffer_pos"])
-    rest = 0
-    if beyond <= 0:
-        state["buffer_pos"] += skip
-    else:
-        blocks, rest = divmod(beyond, _PHILOX_BLOCK)
-        words = state["state"]["counter"]
-        counter = sum(int(w) << (64 * i) for i, w in enumerate(words)) + blocks
-        words[:] = [(counter >> (64 * i)) & (2**64 - 1) for i in range(len(words))]
-        state["buffer_pos"] = _PHILOX_BLOCK
     ahead = np.random.Philox()  # its own seed is overwritten at once
-    ahead.state = state
+    ahead.state = stream.bit_generator.state
+    left = min(skip, _PHILOX_BLOCK - ahead.state["buffer_pos"])
+    ahead.random_raw(left)
+    blocks, rest = divmod(skip - left, _PHILOX_BLOCK)
+    if blocks:  # advance(0) would still empty the buffer
+        ahead.advance(blocks)
     ahead.random_raw(rest)
     return np.random.Generator(ahead)
 

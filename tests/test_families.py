@@ -270,6 +270,70 @@ def test_degenerate_respects_declared_bounds():
     assert g.max_degree == meta.declared_max_degree == 8
 
 
+# -- one separated chain: the planar construction is the degenerate one at d = 1 --
+
+
+@pytest.mark.parametrize("L", [2, 4, 8, 32])
+@pytest.mark.parametrize("delta", [1, 2, 5])
+@pytest.mark.parametrize(
+    "extra", [{"a": 8.0}, {"a": 9, "m": 1}, {"a": 2 * E2}, {"a": 3 * E2, "m": 4}]
+)
+def test_planar_lower_is_degenerate_lower_at_d_1(L, delta, extra):
+    g, meta = build("planar_lower_G", L=L, delta=delta, **extra)
+    g1, meta1 = build("degenerate_lower_G", L=L, delta=delta, d=1, **extra)
+    assert g.n == g1.n
+    assert np.array_equal(g.edges, g1.edges)
+    for role in ("main_groups", "small_groups", "leaf_vertices", "tree_root", "tree_edges",
+                 "chain_vertex_count", "start_vertex", "target_vertex", "height_target"):
+        assert getattr(meta, role) == getattr(meta1, role), role
+    assert meta.params["m"] == meta1.params["m"]
+    assert meta.params["theta"] == meta1.params["theta"]
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("subdivided_tree_I", {"L": 2, "m": 1}),
+    ("subdivided_tree_I", {"L": 8, "m": 3}),
+    ("glued_G", {"L": 2, "delta": 2, "a": 8.0, "m": 1}),
+    ("glued_G", {"L": 16, "delta": 1, "a": 8.0, "m": 3}),
+    ("planar_lower_G", {"L": 8, "delta": 3, "a": 8.0, "m": 2}),
+    ("degenerate_lower_G", {"L": 4, "delta": 4, "d": 2, "a": 8.0, "m": 1}),
+])
+def test_tree_edges_run_from_the_root_down(kind, params):
+    g, meta = build(kind, **params)
+    children = [c for _, c in meta.tree_edges]
+    assert len(set(children)) == len(children)
+    assert meta.tree_root not in children
+    seen = {meta.tree_root}
+    for parent, child in meta.tree_edges:
+        assert parent in seen
+        seen.add(child)
+    assert set(meta.leaf_vertices) <= seen
+    tree_m = g.m if meta.chain_vertex_count is None else int(i_edge_mask(g, meta).sum())
+    assert len(meta.tree_edges) == tree_m
+
+
+_SMALL_INSTANCES = [
+    *(("complete", {"n": n}) for n in (1, 2, 3, 5)),
+    *(("grid", {"d": d, "k": k}) for d, k in ((1, 1), (1, 4), (2, 1), (2, 3), (3, 2))),
+    *(("ladder_H", {"L": L, "delta": delta})
+      for L, delta in ((1, 1), (2, 1), (2, 2), (2, 4), (3, 1), (3, 3), (5, 2))),
+    *(("subdivided_tree_I", {"L": L, "m": m}) for L, m in ((2, 1), (2, 3), (4, 1), (8, 2))),
+    *(("glued_G", {"L": L, "delta": delta, "a": 8.0, "m": m})
+      for L, delta, m in ((2, 1, 1), (2, 3, 2), (4, 2, 1), (8, 1, 3))),
+    *(("planar_lower_G", {"L": L, "delta": delta, "a": 8.0, "m": m})
+      for L, delta, m in ((2, 1, 1), (2, 3, 2), (4, 2, 1), (8, 1, 3))),
+    *(("degenerate_lower_G", {"L": L, "delta": delta, "d": d, "a": 8.0, "m": m})
+      for L, delta, d, m in ((2, 1, 1, 1), (2, 3, 2, 2), (4, 3, 3, 1), (8, 2, 1, 2))),
+]
+
+
+@pytest.mark.parametrize("kind, params", _SMALL_INSTANCES)
+def test_declared_bounds_hold_on_small_instances(kind, params):
+    g, meta = build(kind, **params)
+    assert meta.declared_diameter_bound >= g.diameter()
+    assert meta.declared_degeneracy >= g.degeneracy_ordering().degeneracy
+
+
 # -- dispatch, planning, serialization ----------------------------------------------------
 
 
@@ -445,6 +509,30 @@ def test_decomposition_wide_instance():
     report = verify_tree_decomposition(g, td)
     assert report.passed, report.violations
     assert report.width == 3 * d + 1
+
+
+# Bag trees of criterion 10's six instances (a = 8) and of the wide L = 8
+# instance, as the sha256 of repr((bags, edges)): bags as sorted tuples,
+# sorted, and bag-tree edges as sorted pairs of such bags, sorted.
+_PINNED_DECOMPOSITIONS = {
+    (2, 3, 1, 2): "e52aac36f8c362dabadd25ccdde9a23a3e8382287c6cf337b6d38ac24f6a8c35",
+    (4, 4, 1, 3): "94a1e4f27fd2acd8954052b72a4a8a50a7159136c37deea94293ed859de87bc9",
+    (2, 3, 2, 2): "324d69827524f9521df1440cf5131d6b80818911a5b6ad30ba5020a5637179cd",
+    (4, 4, 2, 3): "cf909d75d99fd466bb648f18389e8572ae26c320369c0c28c86880f8d3a28734",
+    (2, 3, 3, 2): "03a75e67f3f6aee6e82686925825f28c055c8473cfb79df71c104f8472684d7f",
+    (4, 4, 3, 3): "c6d79c178cb45df72179ce943fca4efd9b30385f4f1bbe04d0f5d0ce55070f42",
+    (8, 3, 2, 2): "01710af3dcb91b3fd687eeb929de7c848725ed0640509c05dacb2aa944cb777d",
+}
+
+
+@pytest.mark.parametrize("L,delta,d,m", list(_PINNED_DECOMPOSITIONS))
+def test_decomposition_bag_trees_are_pinned(L, delta, d, m):
+    g, meta = build("degenerate_lower_G", L=L, delta=delta, d=d, a=8.0, m=m)
+    td = build_tree_decomposition_degenerate(g, meta)
+    bags = [tuple(sorted(b)) for b in td.bags]
+    edges = sorted(tuple(sorted((bags[a], bags[b]))) for a, b in td.tree_edges)
+    digest = hashlib.sha256(repr((sorted(bags), edges)).encode()).hexdigest()
+    assert digest == _PINNED_DECOMPOSITIONS[L, delta, d, m]
 
 
 def test_verifier_rejects_bad_decompositions():

@@ -1,6 +1,7 @@
 """Harness oracles: config validation, determinism, verdict rules, coupled events."""
 
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -33,6 +34,7 @@ from treegrowth.harness import (
     _make_context,
     _min_leaf_pair_distance,
     _summarize_metric,
+    _tree_edge_index,
 )
 from treegrowth.randomness import stream_for
 
@@ -394,6 +396,50 @@ def test_chain_graph_edges_are_the_masked_edges():
                           "params": {"L": 8, "delta": 3, "a": 8, "m": 2}})
     assert ctx.chain.n == ctx.meta.chain_vertex_count
     assert np.array_equal(ctx.chain.edges, ctx.g.edges[ctx.h_mask])
+
+
+def test_tree_edge_index_hand_layout():
+    g, meta = families.build_family(
+        FamilySpec("glued_G", {"L": 4, "delta": 1, "a": 8.0, "m": 2}))
+    # Edges in canonical order: (0,1) (0,7) (1,2) (1,8) (2,3) (2,9) (3,10)
+    # (4,5) (4,6) (5,7) (5,8) (6,9) (6,10); internal nodes 4, 5, 6 in heap
+    # order, subdivision vertices 7..10, leaves 0..3.
+    leaf_paths, up_edges = _tree_edge_index(g, meta)
+    assert leaf_paths.tolist() == [[9, 1], [10, 3], [11, 5], [12, 6]]
+    assert [u.tolist() for u in up_edges] == [[7, 8]]
+
+
+# sha256 of repr((leaf_paths.tolist(), [u.tolist() for u in up_edges])).
+_PINNED_TREE_EDGE_INDEX = {
+    ("glued_G", 4, 1, None, 3):
+        "e1931769b0f23679c7a5258c233e363b27fcf52a35d472d9092a8322052439ea",
+    ("glued_G", 8, 3, None, 1):
+        "92ea6f9c72fa020ee88b3bdf3558e3f16dd9cd370b37443c15d38b51945093dd",
+    ("glued_G", 2, 2, None, 2):
+        "0be2c1d5dc5ad2679dfce002ecb1dae887d26f300efb35fc75bf697026aeea49",
+    ("planar_lower_G", 2, 2, None, 1):
+        "dedc218d235d43971420a25fff4f96bdd77cf2a94479caa7c925c89182dd8940",
+    ("planar_lower_G", 16, 3, None, 4):
+        "d6271a7b9f90cdede4f5d75b03b88a9d7a3ebdba8e3490e4dd11e339b5e97b52",
+    ("degenerate_lower_G", 2, 3, 2, 3):
+        "41aa686118c5d84fe7328cbeb8f2a51bf2ead1320194f4bfa3867a1b17cfef6c",
+    ("degenerate_lower_G", 32, 2, 1, 2):
+        "a38f712e34d31beec24e4f83e7506607276f3e71ef8f4a18793e9d98ca6bae12",
+    ("degenerate_lower_G", 8, 4, 3, 1):
+        "5a60c26a150ae2633c3de5b8127c80ebe9daa98270d5264b0ee229d1c7d908ab",
+}
+
+
+@pytest.mark.parametrize("kind,L,delta,d,m", list(_PINNED_TREE_EDGE_INDEX))
+def test_tree_edge_index_is_pinned(kind, L, delta, d, m):
+    params = {"L": L, "delta": delta, "a": 8.0, "m": m, **({"d": d} if d else {})}
+    g, meta = families.build_family(FamilySpec(kind, params))
+    leaf_paths, up_edges = _tree_edge_index(g, meta)
+    assert leaf_paths.shape == (L, m)
+    assert len(up_edges) == max(0, L.bit_length() - 2)
+    got = repr((leaf_paths.tolist(), [u.tolist() for u in up_edges]))
+    expected = _PINNED_TREE_EDGE_INDEX[kind, L, delta, d, m]
+    assert hashlib.sha256(got.encode()).hexdigest() == expected
 
 
 @st.composite
