@@ -27,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from treegrowth.graphs import BudgetExceededError, Graph
+from treegrowth.graphs import _MAX_IDS, BudgetExceededError, Graph, GraphError
 
 E2 = math.e**2
-# Vertex ids are int64, so no instance has more vertices than this.
+# No plan counts more vertices than this; build_family builds at most 2**31.
 _VERTEX_LIMIT = 2**63
 _TOO_MANY_VERTICES = "{kind} params are out of range: more than 2**63 vertices"
 
@@ -351,7 +351,17 @@ def _resolve_degenerate(p: dict) -> dict:
 
 def _build_complete(plan: dict) -> tuple[Graph, ConstructionMeta]:
     n = plan["n_vertices"]
-    g = Graph(n, np.stack(np.triu_indices(n, 1), axis=1))
+    # Row u holds the edges (u, u+1) .. (u, n-1), so the edges are canonical,
+    # and they are int32 from the start, with no int64 copy made on the way.
+    edges = np.empty((n * (n - 1) // 2, 2), dtype=np.int32)
+    ids = np.arange(n, dtype=np.int32)
+    start = 0
+    for u in range(n - 1):
+        stop = start + n - 1 - u
+        edges[start:stop, 0] = u
+        edges[start:stop, 1] = ids[u + 1 :]
+        start = stop
+    g = Graph(n, edges)
     genus = _ceil((n - 3) * (n - 4) / 12) if n >= 3 else 0
     meta = ConstructionMeta(
         kind="complete",
@@ -372,7 +382,7 @@ def _build_grid(plan: dict) -> tuple[Graph, ConstructionMeta]:
     d, k = plan["params"]["d"], plan["params"]["k"]
     side = k + 1
     n = plan["n_vertices"]
-    coords = np.arange(n, dtype=np.int64)
+    coords = np.arange(n, dtype=np.int32)
     blocks = []
     for axis in range(d):
         stride = side**axis
@@ -398,7 +408,7 @@ def _build_grid(plan: dict) -> tuple[Graph, ConstructionMeta]:
 def _ladder(L: int, delta: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Groups of a chain of L groups of delta vertices, and the edge blocks
     that fully join consecutive groups."""
-    groups = [np.arange(i * delta, (i + 1) * delta, dtype=np.int64) for i in range(L)]
+    groups = [np.arange(i * delta, (i + 1) * delta, dtype=np.int32) for i in range(L)]
     return groups, [_bipartite(groups[i], groups[i + 1]) for i in range(L - 1)]
 
 
@@ -406,7 +416,7 @@ def _build_ladder(plan: dict) -> tuple[Graph, ConstructionMeta]:
     """Chain of L groups of delta vertices, consecutive groups fully joined."""
     L, delta = plan["params"]["L"], plan["params"]["delta"]
     groups, blocks = _ladder(L, delta)
-    edges = np.concatenate(blocks) if blocks else np.zeros((0, 2), np.int64)
+    edges = np.concatenate(blocks) if blocks else np.zeros((0, 2), np.int32)
     g = Graph(plan["n_vertices"], edges)
     max_deg = 0 if L == 1 else (delta if L == 2 else 2 * delta)
     meta = ConstructionMeta(
@@ -468,7 +478,7 @@ def _finish_chain(
     tree_edges = _subdivided_tree_edges(
         L, m, leaf_ids, internal_base=n_h, subdiv_base=n_h + L - 1
     )
-    edges = np.concatenate(h_blocks + [np.asarray(tree_edges, dtype=np.int64)])
+    edges = np.concatenate(h_blocks + [np.asarray(tree_edges, dtype=np.int32)])
     g = Graph(plan["n_vertices"], edges)
     meta = ConstructionMeta(
         kind=plan["kind"],
@@ -522,9 +532,9 @@ def _separated_chain(
     """
     L, delta = plan["params"]["L"], plan["params"]["delta"]
     block = delta + d
-    groups = [np.arange(i * block, i * block + delta, dtype=np.int64) for i in range(L)]
+    groups = [np.arange(i * block, i * block + delta, dtype=np.int32) for i in range(L)]
     smalls = [
-        np.arange(i * block + delta, (i + 1) * block, dtype=np.int64)
+        np.arange(i * block + delta, (i + 1) * block, dtype=np.int32)
         for i in range(L - 1)
     ]
     h_blocks = []
@@ -601,6 +611,12 @@ def build_family(
         raise BudgetExceededError(
             f"{spec.kind} instance would have {plan['n_vertices']} vertices"
             f" (limit {max_vertices})"
+        )
+    # The builders number vertices in int32, which Graph would refuse past
+    # this anyway; refusing here keeps an id from wrapping on the way.
+    if plan["n_vertices"] > _MAX_IDS:
+        raise GraphError(
+            f"{plan['n_vertices']} vertices exceed the {_MAX_IDS} that int32 ids allow"
         )
     g, meta = build(plan)
     if g.max_degree != meta.declared_max_degree:

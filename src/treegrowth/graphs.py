@@ -5,13 +5,13 @@ A :class:`Graph` is immutable after construction: edges are canonicalized
 (u < v, lexicographically sorted) and the CSR adjacency used by the
 traversal routines is built exactly once, in O(m) passes plus at most two
 stable sorts: one of the edge keys, only when the input is not already
-canonical, and one of the half-edges by row.  A graph keeps four words
-per edge: the int64 edge array (two) and the CSR's int32 columns and edge
-ids (one each), and a fifth once edge ids are looked up.  The scipy
-structure matrix the breadth-first searches run on is built by each query
-that needs it, shares the CSR's columns and is freed when the query
-returns.  All randomness lives elsewhere; everything in this module is
-deterministic.
+canonical, and one of the half-edges by row.  A graph keeps three words
+per edge: the int32 edge array and the CSR's int32 columns and edge ids
+(one each), and a fourth, the int64 edge keys, once edge ids are looked
+up.  The scipy structure matrix the breadth-first searches run on is
+built by each query that needs it, shares the CSR's columns and is freed
+when the query returns.  All randomness lives elsewhere; everything in
+this module is deterministic.
 """
 
 from __future__ import annotations
@@ -71,6 +71,14 @@ class ExpansionProfile:
     inverse_boundary_sum: Fraction
 
 
+def _edge_keys(u: np.ndarray, v: np.ndarray, n: int, out=None) -> np.ndarray:
+    """Keys u * n + v of the edges (u[i], v[i]), in int64 whatever the
+    endpoints' type: with n up to 2**31 they pass 2**31, where int32 wraps."""
+    keys = np.multiply(u, n, out=out, dtype=np.int64)
+    keys += v
+    return keys
+
+
 def _forest_depths(parent: np.ndarray) -> np.ndarray:
     """Depth of every vertex of a forest given by parent pointers, -1 at roots.
 
@@ -102,19 +110,22 @@ class Graph:
     2**31 or more are refused, since every vertex id and edge id is stored
     as int32.
 
-    Edges that are already canonical (``complete`` and ``ladder_H`` emit
-    them) are kept as given: an int64 C-ordered array is adopted without a
-    copy and made read-only.  Other input is sorted once.  The CSR comes
-    from one stable sort of the half-edges by row.  The edges, row pointers
-    and degrees are int64, so edge keys ``u * n + v`` computed from the
-    edges cannot overflow; the CSR's columns and edge ids are int32.
+    The endpoints are range-checked in the input's own type and then
+    stored as int32.  Edges that are already canonical (``complete`` and
+    ``ladder_H`` emit them) are kept as given: an int32 C-ordered array is
+    adopted without a copy and made read-only; other input is narrowed
+    once, and sorted once if it is not canonical.  The CSR comes from one
+    stable sort of the half-edges by row.  The edges and the CSR's columns
+    and edge ids are int32, the row pointers and degrees int64.  Edge keys
+    ``u * n + v`` reach about n**2, past int32 once n > 46341, so they
+    are always computed in int64.
 
-    What stays resident is the edge array (2 words per edge), the CSR's
-    columns and edge ids (1 word each) and O(n) row pointers and degrees,
-    plus the sorted edge keys once :meth:`edge_ids` has been called.  The
-    connectivity check, :meth:`bfs_distances`, :meth:`eccentricity` and
-    :meth:`diameter` each build a scipy structure matrix over the CSR's
-    own columns, O(n) more, and free it on return.
+    What stays resident is the edge array and the CSR's columns and edge
+    ids (1 word per edge each) and O(n) row pointers and degrees, plus the
+    sorted int64 edge keys (1 word per edge) once :meth:`edge_ids` has
+    been called.  The connectivity check, :meth:`bfs_distances`,
+    :meth:`eccentricity` and :meth:`diameter` each build a scipy structure
+    matrix over the CSR's own columns, O(n) more, and free it on return.
     """
 
     __slots__ = (
@@ -139,17 +150,18 @@ class Graph:
             raise GraphError(f"{n} vertices exceed the {_MAX_IDS} that int32 ids allow")
         e = np.asarray(edges)
         if e.size == 0:
-            e = np.zeros((0, 2), dtype=np.int64)
+            e = np.zeros((0, 2), dtype=np.int32)
         if e.dtype.kind not in "iu":
             raise GraphError("edge endpoints must be integers")
         if e.ndim != 2 or e.shape[1] != 2:
             raise GraphError("edges must be an (m, 2) array of endpoints")
         if e.shape[0] >= _MAX_IDS:
             raise GraphError(f"{e.shape[0]} edges reach the {_MAX_IDS} that int32 ids allow")
-        e = np.ascontiguousarray(e, dtype=np.int64)
         m = e.shape[0]
+        # Checked in the input's own dtype, so no endpoint wraps when narrowed.
         if m and (e.min() < 0 or e.max() >= n):
             raise GraphError("edge endpoint out of range")
+        e = np.ascontiguousarray(e, dtype=np.int32)
         u, v = e[:, 0], e[:, 1]
         canonical = bool(np.all(u < v))
         if not canonical:
@@ -158,8 +170,7 @@ class Graph:
             u, v = np.minimum(u, v), np.maximum(u, v)
         # Strictly ascending keys u*n + v prove the edges lexsorted and free
         # of duplicates in one pass; only input that fails it is sorted.
-        keys = u * n
-        keys += v
+        keys = _edge_keys(u, v, n)
         if not np.all(keys[1:] > keys[:-1]):
             canonical = False
             order = np.argsort(keys, kind="stable")
@@ -261,9 +272,11 @@ class Graph:
             raise GraphError("edge endpoint out of range")
         if self._edge_keys is None:
             # The sentinel n*n exceeds every key, so a miss past the end compares unequal.
-            keys = self._edges[:, 0] * self.n + self._edges[:, 1]
-            self._edge_keys = np.append(keys, self.n * self.n)
-        keys = lo * self.n + hi
+            keys = np.empty(self.m + 1, dtype=np.int64)
+            _edge_keys(self._edges[:, 0], self._edges[:, 1], self.n, out=keys[:-1])
+            keys[-1] = self.n * self.n
+            self._edge_keys = keys
+        keys = _edge_keys(lo, hi, self.n)
         pos = np.searchsorted(self._edge_keys, keys)
         miss = self._edge_keys[pos] != keys
         if miss.any():
@@ -332,24 +345,30 @@ class Graph:
     # -- degeneracy -------------------------------------------------------
 
     def degeneracy_ordering(self) -> DegeneracyOrdering:
-        """Peel minimum-degree vertices (lowest index on ties)."""
-        deg = self._degrees.astype(np.int64).copy()
-        removed = np.zeros(self.n, dtype=bool)
-        heap: list[tuple[int, int]] = [(int(d), v) for v, d in enumerate(deg)]
+        """Peel minimum-degree vertices (lowest index on ties).
+
+        The peel runs on Python lists, one ``tolist`` of the CSR sliced by
+        row, so each degree decrement touches no numpy scalar.
+        """
+        flat, ptr = self._csr_indices.tolist(), self._csr_indptr.tolist()
+        deg = self._degrees.tolist()
+        removed = [False] * self.n
+        heap: list[tuple[int, int]] = [(d, v) for v, d in enumerate(deg)]
         heapq.heapify(heap)
+        pop, push = heapq.heappop, heapq.heappush
         order: list[int] = []
         degeneracy = 0
         while heap:
-            d, v = heapq.heappop(heap)
+            d, v = pop(heap)
             if removed[v] or d != deg[v]:
                 continue  # stale heap entry
             removed[v] = True
             degeneracy = max(degeneracy, d)
             order.append(v)
-            for u in self.neighbors(v):
+            for u in flat[ptr[v] : ptr[v + 1]]:
                 if not removed[u]:
                     deg[u] -= 1
-                    heapq.heappush(heap, (int(deg[u]), int(u)))
+                    push(heap, (deg[u], u))
         return DegeneracyOrdering(tuple(order), degeneracy)
 
     # -- exact boundary minima ---------------------------------------------

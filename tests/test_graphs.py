@@ -1,5 +1,6 @@
 """Frozen-value oracles and property tests for the core graph type."""
 
+import heapq
 import itertools
 import math
 import tracemalloc
@@ -70,7 +71,7 @@ def test_rejects_empty_vertex_set():
 def test_single_vertex_graph():
     g = Graph(1, [])
     assert g.n == 1 and g.m == 0
-    assert g.edges.dtype == np.int64 and g.edges.shape == (0, 2)
+    assert g.edges.dtype == np.int32 and g.edges.shape == (0, 2)
     assert g.diameter() == 0
     assert g.bfs_distances(0).tolist() == [0]
 
@@ -98,6 +99,23 @@ def test_size_guards_raise_before_allocating():
         Graph(2**31, [(0, 1)])
 
 
+def test_endpoints_are_range_checked_before_narrowing():
+    """Each endpoint below is out of range in its own type, and all but
+    2**31 would wrap to 2 in int32, which is in range and would complete a
+    path: each must be refused before the edges are narrowed."""
+    for dtype, bad in [(np.int64, 2**32 + 2), (np.int64, 2**31), (np.int64, -(2**32) + 2),
+                       (np.uint64, 2**32 + 2), (np.uint64, 2**64 - 2**32 + 2)]:
+        edges = np.array([[0, 1], [1, bad]], dtype=dtype)
+        with pytest.raises(GraphError, match="edge endpoint out of range"):
+            Graph(3, edges)
+
+
+def test_builders_refuse_ids_past_int32_before_building():
+    spec = FamilySpec("ladder_H", {"L": 2**30 + 1, "delta": 2})
+    with pytest.raises(GraphError, match="vertices exceed"):
+        build_family(spec, max_vertices=2**40)
+
+
 def test_neighbors_and_edge_ids():
     g = cycle(4)  # canonical edges (0,1) (0,3) (1,2) (2,3)
     assert g.neighbors(0).tolist() == [1, 3]
@@ -113,8 +131,8 @@ def test_neighbors_and_edge_ids():
 
 def reference_csr(n: int, edges) -> dict:
     """The CSR as two lexsorts build it: canonical edges, then half-edges
-    sorted by (row, column).  Edges, row pointers and degrees are int64;
-    the columns and edge ids are int32."""
+    sorted by (row, column).  Row pointers and degrees are int64; the
+    edges, columns and edge ids are int32."""
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     m = e.shape[0]
     u, v = e.min(axis=1), e.max(axis=1)
@@ -126,7 +144,7 @@ def reference_csr(n: int, edges) -> dict:
     half = np.lexsort((cols, rows))
     counts = np.bincount(rows, minlength=n) if m else np.zeros(n, dtype=np.int64)
     return {
-        "edges": np.stack([u, v], axis=1),
+        "edges": np.stack([u, v], axis=1).astype(np.int32),
         "adj_indptr": np.concatenate([[0], np.cumsum(counts)]).astype(np.int64),
         "adj_indices": cols[half].astype(np.int32),
         "adj_edge_ids": eids[half].astype(np.int32),
@@ -150,13 +168,58 @@ def test_csr_matches_double_lexsort_oracle(layout, g, data):
         assert np.array_equal(got, want), name
 
 
+# A path on 70000 vertices plus long chords: edge keys u * n + v reach
+# 4.9e9, past 2**31.  (61356, 67296) and (0, 20000) have keys that differ
+# by exactly 2**32, as do (61357, 67297) and (1, 20001), so keys wrapped in
+# 32 bits would call the first pair a duplicate and find the absent second.
+_WIDE_N = 70_000
+_WIDE_CHORDS = [(0, 20000), (1, 20001), (61356, 67296), (2, 69998), (0, 69999)]
+_WIDE_EDGES = [(i, i + 1) for i in range(_WIDE_N - 1)] + _WIDE_CHORDS
+
+
+def _wide_layout(layout: str) -> np.ndarray:
+    rng = np.random.default_rng(24)
+    e = np.array(sorted(_WIDE_EDGES), dtype=np.int32)
+    if layout != "canonical":
+        e = e[rng.permutation(len(e))]
+    if layout == "flipped":
+        flip = rng.random(len(e)) < 0.5
+        e[flip] = e[flip, ::-1]
+    return e
+
+
+@pytest.mark.parametrize("layout", ["canonical", "shuffled", "flipped"])
+def test_csr_matches_oracle_where_keys_pass_int32(layout):
+    edges = _wide_layout(layout)
+    built = Graph(_WIDE_N, edges)
+    for name, want in reference_csr(_WIDE_N, edges).items():
+        got = getattr(built, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+def test_duplicate_and_missing_edges_where_keys_pass_int32():
+    edges = _wide_layout("canonical")
+    with pytest.raises(GraphError, match="duplicate edge"):
+        Graph(_WIDE_N, np.concatenate([edges, [[69998, 2]]]))
+    g = Graph(_WIDE_N, edges)
+    assert np.shares_memory(g.edges, edges)  # canonical int32 input is adopted
+    last = np.array([[0, 69999], [2, 69998], [61356, 67296], [69998, 69999]])
+    want = [sorted(_WIDE_EDGES).index(tuple(e)) for e in last]
+    assert g.edge_ids(last[:, 1], last[:, 0]).tolist() == want
+    for u, v in [(61357, 67297), (0, 2), (69997, 69999)]:
+        with pytest.raises(GraphError, match=f"no edge \\({u}, {v}\\)"):
+            g.edge_ids(np.array([0, u]), np.array([1, v]))
+
+
 def test_build_peak_memory_on_complete_graph():
-    """Building K_1024 from canonical edges peaks at no more than 5 words
-    per edge (4.0 measured): the int64 sort permutation, 2 words, beside
-    the int32 columns, their gathered copy and the int32 edge ids, 1 word
-    each, of which at most two are held with it at once."""
+    """Building K_1024 from canonical int32 edges, as ``complete`` emits
+    them, peaks at no more than 5 words per edge (4.0 measured): the int64
+    sort permutation, 2 words, beside the int32 columns, their gathered
+    copy and the int32 edge ids, 1 word each, of which at most two are held
+    with it at once."""
     n = 1024
-    edges = np.stack(np.triu_indices(n, 1), axis=1)
+    edges = np.stack(np.triu_indices(n, 1), axis=1).astype(np.int32)
     m = edges.shape[0]
     tracemalloc.start()
     try:
@@ -169,10 +232,11 @@ def test_build_peak_memory_on_complete_graph():
 
 def test_resident_memory_after_eccentricity_on_complete_graph():
     """A built K_1024 holds its int32 CSR columns and edge ids, 2 words per
-    edge on top of the caller's canonical edges, and an eccentricity query
-    keeps nothing: its structure matrix is freed on return."""
+    edge on top of the caller's canonical int32 edges, which it adopts, and
+    an eccentricity query keeps nothing: its structure matrix is freed on
+    return."""
     n = 1024
-    edges = np.stack(np.triu_indices(n, 1), axis=1)
+    edges = np.stack(np.triu_indices(n, 1), axis=1).astype(np.int32)
     m = edges.shape[0]
     tracemalloc.start()
     try:
@@ -182,6 +246,24 @@ def test_resident_memory_after_eccentricity_on_complete_graph():
     finally:
         tracemalloc.stop()
     assert current <= 2.5 * 8 * m, f"resident {current / (8 * m):.1f} words per edge"
+
+
+def test_complete_family_holds_three_words_per_edge():
+    """``build_family`` leaves K_1024 holding at most 3.1 words per edge,
+    its edges included (3.0 plus O(n) measured): the builder emits
+    canonical int32 edges, which the graph adopts beside its int32 CSR
+    columns and edge ids, and no int64 array of size m stays behind."""
+    tracemalloc.start()
+    try:
+        g, _ = build_family(FamilySpec("complete", {"n": 1024}))
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert current <= 3.1 * 8 * g.m, f"resident {current / (8 * g.m):.2f} words per edge"
+    for name in Graph.__slots__:
+        arr = getattr(g, name)
+        if isinstance(arr, np.ndarray) and arr.size >= g.m:
+            assert arr.dtype.itemsize == 4, name
 
 
 def test_eccentricity_peak_memory_on_complete_graph():
@@ -285,6 +367,52 @@ def test_degeneracy_order_back_degree(g):
 def test_degeneracy_matches_core_number(g):
     expected = max(nx.core_number(to_networkx(g)).values())
     assert g.degeneracy_ordering().degeneracy == expected
+
+
+def numpy_peel(g: Graph) -> tuple[tuple[int, ...], int]:
+    """The heap peel as it ran on numpy arrays and scalars, kept as the
+    oracle for the list-based one."""
+    deg = g.degrees.astype(np.int64).copy()
+    removed = np.zeros(g.n, dtype=bool)
+    heap = [(int(d), v) for v, d in enumerate(deg)]
+    heapq.heapify(heap)
+    order, degeneracy = [], 0
+    while heap:
+        d, v = heapq.heappop(heap)
+        if removed[v] or d != deg[v]:
+            continue
+        removed[v] = True
+        degeneracy = max(degeneracy, d)
+        order.append(v)
+        for u in g.neighbors(v):
+            if not removed[u]:
+                deg[u] -= 1
+                heapq.heappush(heap, (int(deg[u]), int(u)))
+    return tuple(order), degeneracy
+
+
+def assert_peel_matches_oracle(g: Graph) -> None:
+    res = g.degeneracy_ordering()
+    assert (res.order, res.degeneracy) == numpy_peel(g)
+    assert all(type(v) is int for v in res.order) and type(res.degeneracy) is int
+
+
+@given(connected_graphs(min_n=1, max_n=16))
+def test_degeneracy_ordering_matches_numpy_peel(g):
+    assert_peel_matches_oracle(g)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("complete", {"n": 40}),
+    ("grid", {"d": 6, "k": 1}),
+    ("ladder_H", {"L": 6, "delta": 3}),
+    ("subdivided_tree_I", {"L": 8, "m": 3}),
+    ("glued_G", {"L": 8, "delta": 3, "a": 8.0, "m": 4}),
+    ("planar_lower_G", {"L": 8, "delta": 3, "a": 8.0, "m": 2}),
+    ("degenerate_lower_G", {"L": 4, "delta": 4, "d": 2, "a": 8.0, "m": 3}),
+])
+def test_degeneracy_ordering_matches_numpy_peel_on_families(kind, params):
+    assert_peel_matches_oracle(build_family(FamilySpec(kind, params))[0])
 
 
 # -- boundary minima and expansion ---------------------------------------------
