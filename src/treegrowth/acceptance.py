@@ -400,7 +400,7 @@ def degenerate_certificate_rows() -> list[dict]:
                 "decomposition_valid": report.passed,
                 "width": report.width,
                 "width_cap": 2 * d + 1,
-                "measured_degeneracy": g.degeneracy_ordering().degeneracy,
+                "measured_degeneracy": g.degeneracy(),
             })
     return rows
 

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .graphs import BudgetExceededError, Graph, GraphError
+from .graphs import _BOUNDARY_SCAN_MAX_N, BudgetExceededError, Graph, GraphError
 from .families import ConstructionMeta
 
 __all__ = [
@@ -31,7 +32,6 @@ __all__ = [
 ]
 
 E = math.e
-_EXPANSION_BUDGET = 16  # largest n whose exact boundary profile bound_matrix computes
 _DIAMETER_COST_CAP = 2 * 10**8  # largest n*m for which bound_matrix measures the diameter
 # Kinds whose declared diameter bound is exact: 1 on K_n (n > 1), d*k on {0..k}**d.
 _EXACT_DIAMETER_KINDS = frozenset({"complete", "grid"})
@@ -206,8 +206,11 @@ def bound_matrix(g: Graph, meta: ConstructionMeta) -> list[BoundRow]:
     an edge (max degree >= 1), and come in the order max degree,
     degeneracy, genus, expansion.  Genus is taken from declared metadata,
     never computed, and its row needs the genus to be small against
-    sqrt(max_degree)*(diameter + ln n).  The expansion row needs the exact
-    boundary profile, so n within the budget.  The diameter is exact: the
+    sqrt(max_degree)*(diameter + ln n).  The expansion row needs
+    inverse_boundary_sum, the sum of 1/e_k over 1 <= k <= n//2 where e_k is
+    the least edge boundary of a k-set; it is summed exactly from
+    ``Graph.boundary_minima``, so n within that scan's limit of 16, and
+    rounded to a float once.  The diameter is exact: the
     closed form of a complete graph or grid, else measured, unless n*m
     makes that too costly, in which case the declared bound stands in
     (noted in the formula).
@@ -234,7 +237,7 @@ def bound_matrix(g: Graph, meta: ConstructionMeta) -> list[BoundRow]:
         ("height_max_degree", delta, f"ceil(2*e*max_degree*(4*ln(n) + 2*{diam_src}))"),
         (
             "height_degeneracy",
-            4.0 * math.sqrt(g.degeneracy_ordering().degeneracy * delta),
+            4.0 * math.sqrt(g.degeneracy() * delta),
             f"ceil(8*e*sqrt(degeneracy*max_degree)*(2*{diam_src} + 4*ln(n)))",
         ),
     ]
@@ -250,8 +253,9 @@ def bound_matrix(g: Graph, meta: ConstructionMeta) -> list[BoundRow]:
         cut, fail = height_cutoff_plan(0.0, a, 2.0, K)
         if p + fail < 1:
             rows.append(BoundRow(check_id, "height", cut, p + fail, formula))
-    if n <= _EXPANSION_BUDGET:
-        psi = float(g.expansion_profile(budget=_EXPANSION_BUDGET).inverse_boundary_sum)
+    if n <= _BOUNDARY_SCAN_MAX_N:
+        best = g.boundary_minima()
+        psi = float(sum(Fraction(1, int(best[k])) for k in range(1, n // 2 + 1)))
         cut = math.ceil(4 * E * psi * delta)
         rows.append(BoundRow(
             "height_expansion", "height", cut, 2.0 ** (-cut),
@@ -293,7 +297,7 @@ def count_report(
     formula requires.  Every path search reads one neighbour table.
     """
     delta = g.max_degree
-    degen = g.degeneracy_ordering().degeneracy
+    degen = g.degeneracy()
     neighbors = _neighbor_lists(g)
     from_s = None if s is None else _count_paths(neighbors, s, max_length, budget)
     genus = None if meta is None else meta.declared_genus

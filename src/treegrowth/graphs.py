@@ -10,16 +10,18 @@ per edge: the int32 edge array and the CSR's int32 columns and edge ids
 (one each), and a fourth, the int64 edge keys, once edge ids are looked
 up.  The scipy structure matrix the breadth-first searches run on is
 built by each query that needs it, shares the CSR's columns and is freed
-when the query returns.  All randomness lives elsewhere; everything in
-this module is deterministic.
+when the query returns.  Two exact scans each return the one number the
+height ceilings read: :meth:`Graph.degeneracy`, from a smallest-last
+peel, and :meth:`Graph.boundary_minima`, the least edge boundary of each
+subset size, found by enumerating the subsets of a graph with at most
+``_BOUNDARY_SCAN_MAX_N`` vertices.  All randomness lives elsewhere;
+everything in this module is deterministic.
 """
 
 from __future__ import annotations
 
 import heapq
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -28,6 +30,7 @@ from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 _DIAMETER_SOURCES = 512  # BFS sources per call in Graph.diameter
 _MAX_IDS = 2**31  # vertex ids 0..n-1 and edge ids 0..m-1 are stored as int32
+_BOUNDARY_SCAN_MAX_N = 16  # largest n whose 2**(n-1) subsets boundary_minima enumerates
 
 
 class GraphError(ValueError):
@@ -35,40 +38,7 @@ class GraphError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when an exhaustive search would exceed its configured budget."""
-
-
-_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
-
-
-def _popcount_u64(x: np.ndarray) -> np.ndarray:
-    """Set bits of each entry of a 1-D uint64 array, as int64: one table
-    lookup per byte, so it needs no numpy 2 ``bitwise_count``."""
-    per_byte = _BYTE_POPCOUNT[x.view(np.uint8)].reshape(x.size, 8)
-    return per_byte.sum(axis=1, dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class DegeneracyOrdering:
-    """Peeling order plus the maximum degree seen at removal time."""
-
-    order: tuple[int, ...]
-    degeneracy: int
-
-
-@dataclass(frozen=True)
-class ExpansionProfile:
-    """Exact boundary minima e_k and the derived expansion quantities.
-
-    ``boundary_minima[k]`` is the minimum edge boundary over vertex subsets
-    of size k.  ``expansion`` is min_{1<=k<=n//2} e_k / k and
-    ``inverse_boundary_sum`` is sum_{1<=k<=n//2} 1 / e_k, both as exact
-    rationals.
-    """
-
-    boundary_minima: tuple[int, ...]
-    expansion: Fraction
-    inverse_boundary_sum: Fraction
+    """Raised when an exhaustive search would exceed its size limit or budget."""
 
 
 def _edge_keys(u: np.ndarray, v: np.ndarray, n: int, out=None) -> np.ndarray:
@@ -344,11 +314,12 @@ class Graph:
 
     # -- degeneracy -------------------------------------------------------
 
-    def degeneracy_ordering(self) -> DegeneracyOrdering:
-        """Peel minimum-degree vertices (lowest index on ties).
+    def degeneracy(self) -> int:
+        """Largest degree a vertex has when removed by a smallest-last peel.
 
-        The peel runs on Python lists, one ``tolist`` of the CSR sliced by
-        row, so each degree decrement touches no numpy scalar.
+        The peel takes a vertex of least remaining degree (lowest index on
+        ties) at each step, on Python lists: one ``tolist`` of the CSR sliced
+        by row, so each degree decrement touches no numpy scalar.
         """
         flat, ptr = self._csr_indices.tolist(), self._csr_indptr.tolist()
         deg = self._degrees.tolist()
@@ -356,7 +327,6 @@ class Graph:
         heap: list[tuple[int, int]] = [(d, v) for v, d in enumerate(deg)]
         heapq.heapify(heap)
         pop, push = heapq.heappop, heapq.heappush
-        order: list[int] = []
         degeneracy = 0
         while heap:
             d, v = pop(heap)
@@ -364,56 +334,39 @@ class Graph:
                 continue  # stale heap entry
             removed[v] = True
             degeneracy = max(degeneracy, d)
-            order.append(v)
             for u in flat[ptr[v] : ptr[v + 1]]:
                 if not removed[u]:
                     deg[u] -= 1
                     push(heap, (deg[u], u))
-        return DegeneracyOrdering(tuple(order), degeneracy)
+        return degeneracy
 
     # -- exact boundary minima ---------------------------------------------
 
-    def boundary_minima(self, budget: int = 24) -> np.ndarray:
+    def boundary_minima(self) -> np.ndarray:
         """best[k] = min edge boundary over vertex subsets of size k.
 
-        Exhaustive over 2^(n-1) subset masks (each subset or its complement
-        omits vertex n-1, and complements share a boundary).  Graphs with
-        n > budget are refused rather than silently approximated.
+        Exhaustive over the 2^(n-1) subset masks that omit vertex n-1 (each
+        subset or its complement does, and complements share a boundary).
+        Graphs with n above ``_BOUNDARY_SCAN_MAX_N`` are refused rather than
+        silently approximated.
         """
         n = self.n
-        if n > budget:
+        if n > _BOUNDARY_SCAN_MAX_N:
             raise BudgetExceededError(
-                f"exhaustive boundary scan over n={n} exceeds budget n<={budget}"
+                f"exhaustive boundary scan over n={n} exceeds n<={_BOUNDARY_SCAN_MAX_N}"
             )
+        masks = np.arange(1, 1 << (n - 1), dtype=np.int64)
+        cut = np.zeros(masks.size, dtype=np.int64)
+        for u, v in self._edges.tolist():
+            cut += ((masks >> u) ^ (masks >> v)) & 1
+        size = np.zeros(masks.size, dtype=np.int64)
+        for j in range(n - 1):
+            size += (masks >> j) & 1
         best = np.full(n + 1, np.iinfo(np.int64).max, dtype=np.int64)
-        best[0] = 0
-        best[n] = 0
-        if n == 1:
-            return best
-        u_arr = self._edges[:, 0].astype(np.uint64)
-        v_arr = self._edges[:, 1].astype(np.uint64)
-        total = 1 << (n - 1)
-        chunk = 1 << 20
-        one = np.uint64(1)
-        for start in range(1, total, chunk):
-            stop = min(start + chunk, total)
-            masks = np.arange(start, stop, dtype=np.uint64)
-            cut = np.zeros(masks.size, dtype=np.int64)
-            for u, v in zip(u_arr, v_arr):
-                cut += (((masks >> u) ^ (masks >> v)) & one).astype(np.int64)
-            pop = _popcount_u64(masks)
-            np.minimum.at(best, pop, cut)
-            np.minimum.at(best, n - pop, cut)
+        best[0] = best[n] = 0
+        np.minimum.at(best, size, cut)
+        np.minimum.at(best, n - size, cut)
         return best
-
-    def expansion_profile(self, budget: int = 24) -> ExpansionProfile:
-        if self.n < 2:
-            raise GraphError("expansion profile needs at least two vertices")
-        best = self.boundary_minima(budget)
-        ks = range(1, self.n // 2 + 1)
-        phi = min(Fraction(int(best[k]), k) for k in ks)
-        psi = sum(Fraction(1, int(best[k])) for k in ks)
-        return ExpansionProfile(tuple(int(b) for b in best), phi, psi)
 
     # -- serialization ------------------------------------------------------
 
@@ -433,6 +386,8 @@ class Graph:
             e = np.asarray(tokens[2:], dtype=np.int64)
         except ValueError:
             raise GraphError("graph text holds a token that is not an integer") from None
+        except OverflowError:
+            raise GraphError("edge endpoint out of range") from None
         if len(tokens) != 2 + 2 * m:
             raise GraphError(f"expected {m} edges, found {(len(tokens) - 2) // 2}")
         return cls(n, e.reshape(m, 2))

@@ -125,7 +125,7 @@ def test_subdivided_tree_with_paths():
     assert meta.declared_max_degree == 3
     assert meta.declared_diameter_bound == 6
     assert g.diameter() == 6
-    assert g.degeneracy_ordering().degeneracy == 1
+    assert g.degeneracy() == 1
 
 
 # -- glued construction ----------------------------------------------------------
@@ -180,7 +180,7 @@ def test_glued_edge_split_counts():
 def test_glued_respects_declared_bounds():
     g, meta = build("glued_G", L=8, delta=2, a=8.0)
     assert g.diameter() <= meta.declared_diameter_bound
-    assert g.degeneracy_ordering().degeneracy <= meta.declared_degeneracy
+    assert g.degeneracy() <= meta.declared_degeneracy
     assert meta.declared_genus is None  # gluing breaks planarity at delta = 2
     g1, meta1 = build("glued_G", L=8, delta=1, a=8.0, m=2)
     assert meta1.declared_genus == 0
@@ -210,7 +210,7 @@ def test_planar_lower_is_planar():
     g, meta = build("planar_lower_G", L=8, delta=3, a=8.0, m=2)
     assert meta.declared_genus == 0
     assert nx.check_planarity(to_networkx(g))[0]
-    assert g.degeneracy_ordering().degeneracy <= meta.declared_degeneracy == 3
+    assert g.degeneracy() <= meta.declared_degeneracy == 3
     assert g.diameter() <= meta.declared_diameter_bound
 
 
@@ -261,7 +261,7 @@ def test_degenerate_measured_degeneracy_is_twice_d():
     # At L >= 3 the realized degeneracy of the construction sits at 2d.
     for d in (1, 2):
         g, meta = build("degenerate_lower_G", L=4, delta=4, d=d, m=3)
-        assert g.degeneracy_ordering().degeneracy == 2 * d == meta.declared_degeneracy
+        assert g.degeneracy() == 2 * d == meta.declared_degeneracy
 
 
 def test_degenerate_respects_declared_bounds():
@@ -331,7 +331,7 @@ _SMALL_INSTANCES = [
 def test_declared_bounds_hold_on_small_instances(kind, params):
     g, meta = build(kind, **params)
     assert meta.declared_diameter_bound >= g.diameter()
-    assert meta.declared_degeneracy >= g.degeneracy_ordering().degeneracy
+    assert meta.declared_degeneracy >= g.degeneracy()
 
 
 # -- dispatch, planning, serialization ----------------------------------------------------

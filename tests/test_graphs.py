@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from treegrowth import graphs
 from treegrowth.families import FamilySpec, build_family
 from treegrowth.graphs import BudgetExceededError, Graph, GraphError
 
@@ -347,54 +346,41 @@ def test_diameter_matches_networkx(g):
 
 def test_degeneracy_frozen_values():
     tree = Graph(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5)])
-    assert tree.degeneracy_ordering().degeneracy == 1
-    assert complete(5).degeneracy_ordering().degeneracy == 4
-    assert cycle(8).degeneracy_ordering().degeneracy == 2
-
-
-@given(connected_graphs())
-def test_degeneracy_order_back_degree(g):
-    res = g.degeneracy_ordering()
-    assert sorted(res.order) == list(range(g.n))
-    pos = {v: i for i, v in enumerate(res.order)}
-    back = max(
-        sum(1 for u in g.neighbors(v) if pos[int(u)] > pos[v]) for v in range(g.n)
-    )
-    assert back == res.degeneracy
+    assert tree.degeneracy() == 1
+    assert complete(5).degeneracy() == 4
+    assert cycle(8).degeneracy() == 2
 
 
 @given(connected_graphs())
 def test_degeneracy_matches_core_number(g):
     expected = max(nx.core_number(to_networkx(g)).values())
-    assert g.degeneracy_ordering().degeneracy == expected
+    assert g.degeneracy() == expected
 
 
-def numpy_peel(g: Graph) -> tuple[tuple[int, ...], int]:
-    """The heap peel as it ran on numpy arrays and scalars, kept as the
-    oracle for the list-based one."""
+def numpy_peel(g: Graph) -> int:
+    """The degeneracy from the heap peel as it ran on numpy arrays and
+    scalars, kept as the oracle for the list-based one."""
     deg = g.degrees.astype(np.int64).copy()
     removed = np.zeros(g.n, dtype=bool)
     heap = [(int(d), v) for v, d in enumerate(deg)]
     heapq.heapify(heap)
-    order, degeneracy = [], 0
+    degeneracy = 0
     while heap:
         d, v = heapq.heappop(heap)
         if removed[v] or d != deg[v]:
             continue
         removed[v] = True
         degeneracy = max(degeneracy, d)
-        order.append(v)
         for u in g.neighbors(v):
             if not removed[u]:
                 deg[u] -= 1
                 heapq.heappush(heap, (int(deg[u]), int(u)))
-    return tuple(order), degeneracy
+    return degeneracy
 
 
 def assert_peel_matches_oracle(g: Graph) -> None:
-    res = g.degeneracy_ordering()
-    assert (res.order, res.degeneracy) == numpy_peel(g)
-    assert all(type(v) is int for v in res.order) and type(res.degeneracy) is int
+    degeneracy = g.degeneracy()
+    assert type(degeneracy) is int and degeneracy == numpy_peel(g)
 
 
 @given(connected_graphs(min_n=1, max_n=16))
@@ -432,14 +418,12 @@ def brute_boundary_minima(g):
     return out
 
 
-def test_popcount_matches_int_bit_count():
-    rng = np.random.default_rng(7)
-    x = rng.integers(0, 2**64, size=4096, dtype=np.uint64, endpoint=False)
-    x[:4] = [0, 1, 2**63, 2**64 - 1]
-    x[4:] |= np.uint64(1) << rng.integers(56, 64, size=x.size - 4, dtype=np.uint64)
-    pop = graphs._popcount_u64(x)
-    assert pop.dtype == np.int64
-    assert pop.tolist() == [int(v).bit_count() for v in x.tolist()]
+def expansion_and_inverse_sum(best) -> tuple[Fraction, Fraction]:
+    """min e_k / k and the sum of 1 / e_k over 1 <= k <= n//2, exactly."""
+    ks = range(1, (len(best) - 1) // 2 + 1)
+    phi = min(Fraction(int(best[k]), k) for k in ks)
+    psi = sum(Fraction(1, int(best[k])) for k in ks)
+    return phi, psi
 
 
 def test_cycle_and_path_boundaries():
@@ -456,17 +440,15 @@ def test_complete_graph_boundaries():
 
 
 def test_k4_expansion_profile():
-    prof = complete(4).expansion_profile()
-    assert prof.boundary_minima == (0, 3, 4, 3, 0)
-    assert prof.expansion == Fraction(2)
-    assert prof.inverse_boundary_sum == Fraction(7, 12)
+    best = complete(4).boundary_minima()
+    assert best.tolist() == [0, 3, 4, 3, 0]
+    assert expansion_and_inverse_sum(best) == (Fraction(2), Fraction(7, 12))
 
 
 def test_c6_expansion_profile():
-    prof = cycle(6).expansion_profile()
-    assert prof.boundary_minima == (0, 2, 2, 2, 2, 2, 0)
-    assert prof.expansion == Fraction(2, 3)
-    assert prof.inverse_boundary_sum == Fraction(3, 2)
+    best = cycle(6).boundary_minima()
+    assert best.tolist() == [0, 2, 2, 2, 2, 2, 0]
+    assert expansion_and_inverse_sum(best) == (Fraction(2, 3), Fraction(3, 2))
 
 
 @given(connected_graphs(max_n=7))
@@ -476,14 +458,15 @@ def test_boundary_minima_against_brute_force(g):
 
 @given(connected_graphs())
 def test_inverse_boundary_sum_log_bound(g):
-    prof = g.expansion_profile()
-    cap = (math.log(g.n) + 1) / float(prof.expansion)
-    assert float(prof.inverse_boundary_sum) <= cap + 1e-12
+    phi, psi = expansion_and_inverse_sum(g.boundary_minima())
+    assert float(psi) <= (math.log(g.n) + 1) / float(phi) + 1e-12
 
 
 def test_boundary_scan_budget():
-    with pytest.raises(BudgetExceededError):
-        path(30).boundary_minima()
+    # The largest graph the scan takes, and the smallest it refuses.
+    assert complete(16).boundary_minima().tolist() == [k * (16 - k) for k in range(17)]
+    with pytest.raises(BudgetExceededError, match="n=17"):
+        complete(17).boundary_minima()
 
 
 # -- weighted views --------------------------------------------------------------
@@ -519,4 +502,8 @@ def test_from_text_rejects_truncation():
         Graph.from_text("3 3\n0 1\n0 2\n")
     for text in ("3 2\n0 1\n1 2.5\n", "3.0 2\n0 1\n1 2\n"):
         with pytest.raises(GraphError, match="not an integer"):
+            Graph.from_text(text)
+    # Endpoint tokens past int64, either sign, are refused like any other.
+    for text in ("2 1\n0 99999999999999999999", "2 1\n-99999999999999999999 1"):
+        with pytest.raises(GraphError, match="out of range"):
             Graph.from_text(text)
