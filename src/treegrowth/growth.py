@@ -286,7 +286,7 @@ def grow_fpp_block(g: Graph, s: int, weights) -> FppBlock:
         (g.adj_indptr[:-1].astype(idx) + half * offsets[:, None]).ravel(), idx(b * half)
     )
     indices = (g.adj_indices.astype(idx, copy=False) + n * offsets[:, None]).ravel()
-    data = w[:, g.adj_edge_ids].ravel()
+    data = np.take(w, g.adj_edge_ids, axis=1).ravel()
     stacked = csr_matrix((data, indices, indptr), shape=(b * n, b * n))
     dist, pred, _ = dijkstra(
         stacked, indices=s + n * offsets, min_only=True, return_predecessors=True
@@ -384,7 +384,19 @@ class LawComparison:
     trials: int
     support: int
     tv_distance: float
-    chi2_pvalue: float
+    chi2_stat: float
+
+    @property
+    def chi2_pvalue(self) -> float:
+        """Chi-square p-value of ``chi2_stat`` on support - 1 degrees of
+        freedom; scipy.special is imported only when this is read."""
+        if self.support == 1:
+            # A single tree: every draw is it (unknown trees raise), and
+            # chi-square with 0 degrees of freedom is undefined, not a fit.
+            return 1.0
+        from scipy.special import chdtrc
+
+        return float(chdtrc(self.support - 1, self.chi2_stat))
 
 
 def law_equivalence_test(
@@ -403,8 +415,6 @@ def law_equivalence_test(
     block of c discrete trees shares one set-up and one run of uniforms,
     each tree reading on from where the last one stopped.
     """
-    from scipy.special import chdtrc
-
     if isinstance(trials, bool) or not isinstance(trials, int):
         raise ValueError(f"the trial count must be an integer, got {trials!r}")
     if trials < 1:
@@ -435,9 +445,5 @@ def law_equivalence_test(
     if obs.sum() != trials or abs(exp.sum() - trials) > 1e-8 * trials:
         raise ValueError("observed and expected counts must both sum to the trials")
     tv = 0.5 * float(np.abs(obs - exp).sum()) / trials
-    if len(keys) == 1:
-        # A single tree: every draw is it (unknown trees raised above), and
-        # chi-square with 0 degrees of freedom is undefined, not a fit.
-        return LawComparison(trials, 1, tv, 1.0)
-    stat = ((obs - exp) ** 2 / exp).sum()
-    return LawComparison(trials, len(keys), tv, float(chdtrc(len(keys) - 1, stat)))
+    stat = float(((obs - exp) ** 2 / exp).sum())
+    return LawComparison(trials, len(keys), tv, stat)

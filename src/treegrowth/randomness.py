@@ -27,7 +27,11 @@ The two-stage minimum is drawn through the identity min of b independent
 Exp(1) variables ~ Exp(1)/b: each child's cheapest leaf edge is one draw at
 rate b, so a sample costs 2a uniforms, not the a(1 + b) of drawing every
 edge.  The edge-by-edge sampler lives on in the tests as the oracle the
-identity is checked against.
+identity is checked against.  Each piece's row minima are reduced down a
+transposed copy of the piece, not along each row: numpy pays a fixed cost
+per row when it reduces rows of a few values, and at a = 8 that cost more
+than drawing the piece.  A minimum is exact in any order, so the values do
+not change.
 """
 
 from __future__ import annotations
@@ -147,7 +151,10 @@ def _two_stage_pieces(stream: np.random.Generator, a: int, b: int, n: int):
     Rows come in chunks of at most 2**20 values, and a chunk of c rows
     starting at row s reads its c*a child weights 2*a*s uniforms on in the
     stream, then its c*a leaf minima; a child cursor and a leaf cursor read
-    the two side by side.
+    the two side by side.  Once a piece's sums are in the leaf buffer, the
+    spent child buffer takes them transposed, a rows of r values, and the
+    minima are reduced down those rows: one elementwise pass each, where a
+    reduce along each short row pays numpy's per-row overhead r times.
     """
     chunk = max(1, (1 << 20) // a)
     rows = max(1, _DRAW_VALUES // a)
@@ -163,7 +170,9 @@ def _two_stage_pieces(stream: np.random.Generator, a: int, b: int, n: int):
             ch = sample_exponential(child_cursor, (r, a), out=child[:r])
             lf = sample_exponential(leaf_cursor, (r, a), rate=b, out=leaf[:r])
             lf += ch  # leaf + child: IEEE addition commutes
-            yield lf.min(axis=1, out=mins[:r])
+            cols = child.reshape(-1)[: r * a].reshape(a, r)
+            np.copyto(cols, lf.T)
+            yield np.minimum.reduce(cols, axis=0, out=mins[:r])
     if n:
         stream.bit_generator.state = leaf_cursor.bit_generator.state
 

@@ -114,16 +114,23 @@ def test_erlang_across_draw_buffers_matches_plain_sum_bit_for_bit():
 @pytest.mark.parametrize(
     "a, b, size",
     [(8, 4, 1000), (16, 16, 70_000), (2**20 + 1, 3, 3), (4, 2, 0),
-     (16, 16, 200_003), (3, 5, 100_001)],
+     (16, 16, 200_003), (3, 5, 100_001), (1, 6, 70_001), (2, 9, 40_000),
+     (64, 2, 20_000)],
     ids=["one-chunk", "two-chunks", "a-above-chunk", "zero",
-         "many-chunks-and-buffers", "odd-a"],
+         "many-chunks-and-buffers", "odd-a", "a1", "a2", "a64"],
 )
 def test_two_stage_min_matches_plain_chunks_bit_for_bit(a, b, size):
     # 70 000 rows at a = 16 span two chunks; at a = 2**20 + 1 each row is
-    # a chunk of its own.  The leaf minima are drawn _DRAW_VALUES // a rows
-    # at a time: 200 003 rows at a = 16 are four chunks, the last cut short,
-    # of 32 leaf buffers each; at a = 3 the chunk of 349 525 rows is not a
+    # a chunk of its own, and its transposed piece is one column of a
+    # values.  The leaf minima are drawn _DRAW_VALUES // a rows at a time:
+    # 200 003 rows at a = 16 are four chunks, the last cut short, of 32
+    # leaf buffers each; at a = 3 the chunk of 349 525 rows is not a
     # multiple of the buffer's 10 922, and 100 001 rows end mid-buffer.
+    # At a = 1 the transposed piece is the piece itself, 70 001 rows are
+    # three buffers, the last cut short; at a = 2, 40 000 rows are two full
+    # buffers of 16 384 rows and part of a third; at a = 64 the chunk of
+    # 16 384 rows is 32 buffers of 512, and 20 000 rows start a second
+    # chunk that ends mid-buffer.
     assert_same_draw(lambda s: sample_two_stage_min(s, a, b, size),
                      lambda s: plain_two_stage_min(s, a, b, size), (29, 2, a))
 
