@@ -32,9 +32,6 @@ __all__ = [
 ]
 
 E = math.e
-_DIAMETER_COST_CAP = 2 * 10**8  # largest n*m for which bound_matrix measures the diameter
-# Kinds whose declared diameter bound is exact: 1 on K_n (n > 1), d*k on {0..k}**d.
-_EXACT_DIAMETER_KINDS = frozenset({"complete", "grid"})
 
 
 def ceil_sqrt(x: int) -> int:
@@ -210,23 +207,15 @@ def bound_matrix(g: Graph, meta: ConstructionMeta) -> list[BoundRow]:
     inverse_boundary_sum, the sum of 1/e_k over 1 <= k <= n//2 where e_k is
     the least edge boundary of a k-set; it is summed exactly from
     ``Graph.boundary_minima``, so n within that scan's limit of 16, and
-    rounded to a float once.  The diameter is exact: the
-    closed form of a complete graph or grid, else measured, unless n*m
-    makes that too costly, in which case the declared bound stands in
-    (noted in the formula).
+    rounded to a float once.  The diameter is the family's exact closed
+    form, ``meta.declared_diameter_bound``; no search measures it.
     """
-    n, delta = g.n, g.max_degree
-    if n * g.m > _DIAMETER_COST_CAP:
-        diam, diam_src = meta.declared_diameter_bound, "declared_diameter_bound"
-    elif meta.kind in _EXACT_DIAMETER_KINDS:
-        diam, diam_src = meta.declared_diameter_bound, "diameter"
-    else:
-        diam, diam_src = g.diameter(), "diameter"
+    n, delta, diam = g.n, g.max_degree, meta.declared_diameter_bound
     K = 4 * math.log(n) + 2 * diam
     p = 2.0 / n
     rows = []
     if p < 1:
-        rows.append(BoundRow("cover_log_diameter", "cover_time", K, p, f"4*ln(n) + 2*{diam_src}"))
+        rows.append(BoundRow("cover_log_diameter", "cover_time", K, p, "4*ln(n) + 2*diameter"))
     if delta < 1:  # a single vertex: the tree has no height to bound
         return rows
     # (check_id, a, formula) for a graph with at most a**L simple paths of
@@ -234,11 +223,11 @@ def bound_matrix(g: Graph, meta: ConstructionMeta) -> list[BoundRow]:
     # the cover time exceeds K.  p stays outside height_cutoff_plan, which
     # refuses p = 1 (K_2).
     cutoffs = [
-        ("height_max_degree", delta, f"ceil(2*e*max_degree*(4*ln(n) + 2*{diam_src}))"),
+        ("height_max_degree", delta, "ceil(2*e*max_degree*(4*ln(n) + 2*diameter))"),
         (
             "height_degeneracy",
             4.0 * math.sqrt(g.degeneracy() * delta),
-            f"ceil(8*e*sqrt(degeneracy*max_degree)*(2*{diam_src} + 4*ln(n)))",
+            "ceil(8*e*sqrt(degeneracy*max_degree)*(2*diameter + 4*ln(n)))",
         ),
     ]
     genus = meta.declared_genus
@@ -247,7 +236,7 @@ def bound_matrix(g: Graph, meta: ConstructionMeta) -> list[BoundRow]:
         cutoffs.append((
             "height_genus",
             8.0 * math.sqrt(6 * delta),
-            f"ceil(16*e*sqrt(6*max_degree)*(2*{diam_src} + 4*ln(n)))",
+            "ceil(16*e*sqrt(6*max_degree)*(2*diameter + 4*ln(n)))",
         ))
     for check_id, a, formula in cutoffs:
         cut, fail = height_cutoff_plan(0.0, a, 2.0, K)

@@ -81,8 +81,10 @@ class ConstructionMeta:
 
     Declared values are analytic: the generator promises them from the
     construction, and the build step cross-checks the max degree against
-    the realized graph.  Degeneracy and diameter declarations are upper
-    bounds, which keeps every bound check that consumes them valid.
+    the realized graph.  The declared diameter is exact for every kind, a
+    closed form that the tests check against a breadth-first search; the
+    declared degeneracy is an upper bound, which keeps every bound check
+    that consumes it valid.
 
     ``tree_edges`` lists the edges of the tree I as (parent, child) pairs
     from the root down: each child appears once, and each parent is
@@ -460,18 +462,55 @@ def _build_subdivided_tree(plan: dict) -> tuple[Graph, ConstructionMeta]:
     return g, meta
 
 
+def _chain_diameter(L: int, m: int, step: int, far: int, offset: int) -> int:
+    """Exact diameter of a chain H glued to the tree I, in O(1).
+
+    Consecutive groups of H lie ``step`` edges apart, and I meets H at one
+    portal per group, the group vertex where that group's leaf path ends.
+    The extreme chain vertex y lies in the last group's end of H, ``far``
+    edges along H from portal 0 and ``offset`` edges from its nearest
+    portal; its mirror image y' lies in the first group's end.  With
+    h = log2 L and L >= 4, the diameter is the larger of two distances:
+
+    - y to y': along H, 2 far - step (L - 1), or over the root of I,
+      2 (offset + m + h - 1);
+    - y to the vertex x that lies t steps below the top of leaf 0's path,
+      maximized over 0 <= t <= m.  x takes the least of three routes: down
+      to portal 0 and along H, m - t + far; up and down the sibling's leaf
+      path to portal 1 and along H, m + t + far - step; or over the root to
+      a portal next to y, m + t + 2h - 2 + offset.  With b the smaller of
+      the last two constants, the maximum over integer t of
+      min(m - t + far, m + t + b) is min(m + (far + b) // 2, 2m + b).
+
+    At L = 2, I is one path of 2m edges between the two portals, and y is
+    farthest from its midpoint: m + offset.  No pair of tree vertices is
+    farther; the tests check the whole formula against a breadth-first
+    search over every chain kind.
+    """
+    if L == 2:
+        return m + offset
+    h = L.bit_length() - 1
+    ends = min(2 * far - step * (L - 1), 2 * (offset + m + h - 1))
+    b = min(far - step, 2 * h - 2 + offset)
+    return max(ends, min(m + (far + b) // 2, 2 * m + b))
+
+
 def _finish_chain(
     plan: dict,
     h_blocks: list[np.ndarray],
     groups: list[np.ndarray],
     small_groups,
+    step: int,
+    far: int,
+    offset: int,
     declared_max_degree: int,
     declared_degeneracy: int,
     declared_genus,
     height_target: int,
 ) -> tuple[Graph, ConstructionMeta]:
     """Glue the tree I to the chain H, whose edges are h_blocks, at the
-    first vertex of each group."""
+    first vertex of each group; ``step``, ``far`` and ``offset`` place H's
+    extreme vertex for :func:`_chain_diameter`."""
     r, n_h = plan["params"], plan["chain_vertex_count"]
     L, m = r["L"], r["m"]
     leaf_ids = [int(grp[0]) for grp in groups]
@@ -484,7 +523,7 @@ def _finish_chain(
         kind=plan["kind"],
         params=r,
         declared_max_degree=declared_max_degree,
-        declared_diameter_bound=2 * (m + int(math.log2(L)) + 1),
+        declared_diameter_bound=_chain_diameter(L, m, step, far, offset),
         declared_degeneracy=declared_degeneracy,
         declared_genus=declared_genus,
         start_vertex=0,
@@ -512,6 +551,11 @@ def _build_glued(plan: dict) -> tuple[Graph, ConstructionMeta]:
         h_blocks,
         groups,
         None,
+        # A non-glued vertex of group L - 1 is one step from portal L - 2;
+        # with delta = 1 the extreme vertex is portal L - 1 itself.
+        step=1,
+        far=L - 1,
+        offset=1 if delta > 1 else 0,
         declared_max_degree=max(ladder_deg + 1, tree_deg),
         declared_degeneracy=delta + 1,
         # The bare ladder stays planar up to delta = 2, but gluing the tree
@@ -548,6 +592,12 @@ def _separated_chain(
         h_blocks,
         groups,
         tuple(tuple(int(v) for v in s) for s in smalls),
+        # A non-glued vertex of group L - 1 is two steps from portals L - 2
+        # and L - 1; with delta = 1 the extreme vertex is one of small group
+        # L - 2, one step from each.
+        step=2,
+        far=2 * L - 2 if delta > 1 else 2 * L - 3,
+        offset=2 if delta > 1 else 1,
         declared_max_degree=max(2 * delta, group_deg, tree_deg),
         declared_degeneracy=declared_degeneracy,
         declared_genus=declared_genus,

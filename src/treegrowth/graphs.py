@@ -25,10 +25,9 @@ import operator
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, dijkstra
+from scipy.sparse.csgraph import breadth_first_order
 
 
-_DIAMETER_SOURCES = 512  # BFS sources per call in Graph.diameter
 _MAX_IDS = 2**31  # vertex ids 0..n-1 and edge ids 0..m-1 are stored as int32
 _BOUNDARY_SCAN_MAX_N = 16  # largest n whose 2**(n-1) subsets boundary_minima enumerates
 
@@ -93,9 +92,11 @@ class Graph:
     What stays resident is the edge array and the CSR's columns and edge
     ids (1 word per edge each) and O(n) row pointers and degrees, plus the
     sorted int64 edge keys (1 word per edge) once :meth:`edge_ids` has
-    been called.  The connectivity check, :meth:`bfs_distances`,
-    :meth:`eccentricity` and :meth:`diameter` each build a scipy structure
-    matrix over the CSR's own columns, O(n) more, and free it on return.
+    been called.  The connectivity check, :meth:`bfs_distances` and
+    :meth:`eccentricity` each build a scipy structure matrix over the CSR's
+    own columns, O(n) more, and free it on return.  A graph measures no
+    diameter: each family declares its own exactly
+    (``ConstructionMeta.declared_diameter_bound``).
     """
 
     __slots__ = (
@@ -276,10 +277,10 @@ class Graph:
         """A fresh scipy matrix of the CSR for the breadth-first searches.
 
         Its data is one float 1.0 broadcast to every half-edge, since scipy's
-        breadth-first search and unweighted Dijkstra read only the index
-        arrays, and scipy adopts the int32 columns without a copy, so the
-        matrix adds only its int32 row pointers, O(n), to the graph.  It is
-        never kept: each caller lets it go on return.
+        breadth-first search reads only the index arrays, and scipy adopts
+        the int32 columns without a copy, so the matrix adds only its int32
+        row pointers, O(n), to the graph.  It is never kept: each caller
+        lets it go on return.
         The CSR holds both half-edges, so a directed search is exact and
         skips the CSC copy an undirected one makes.
         """
@@ -302,15 +303,6 @@ class Graph:
 
     def eccentricity(self, source: int) -> int:
         return int(self.bfs_distances(source).max())
-
-    def diameter(self) -> int:
-        structure = self._structure()
-        best = 0
-        for start in range(0, self.n, _DIAMETER_SOURCES):
-            idx = np.arange(start, min(start + _DIAMETER_SOURCES, self.n))
-            d = dijkstra(structure, indices=idx, unweighted=True)
-            best = max(best, int(d.max()))
-        return best
 
     # -- degeneracy -------------------------------------------------------
 

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
 from treegrowth.graphs import _BOUNDARY_SCAN_MAX_N, BudgetExceededError, Graph, GraphError
 
@@ -20,6 +22,26 @@ def cycle(n: int) -> Graph:
 
 def path(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def bfs_diameter(g: Graph) -> int:
+    """Exact diameter by a breadth-first search from every vertex: the
+    oracle for each family's declared diameter.  A search visits vertices
+    in order of distance, so the source's eccentricity is the depth of the
+    last vertex it visits, counted back along the predecessors."""
+    adjacency = csr_matrix(
+        (np.ones(g.adj_indices.size), g.adj_indices, g.adj_indptr), shape=(g.n, g.n)
+    )
+    best = 0
+    for source in range(g.n):
+        order, pred = breadth_first_order(
+            adjacency, source, directed=True, return_predecessors=True
+        )
+        v, hops = order[-1], 0
+        while v != source:
+            v, hops = pred[v], hops + 1
+        best = max(best, hops)
+    return best
 
 
 def to_networkx(g: Graph) -> nx.Graph:

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from treegrowth.counting import (
-    _EXACT_DIAMETER_KINDS,
     bound_matrix,
     bound_paths_genus,
     bound_walks_degenerate,
@@ -21,7 +20,7 @@ from treegrowth.counting import (
 from treegrowth.families import FamilySpec, build_family
 from treegrowth.graphs import BudgetExceededError, Graph
 
-from helpers import complete, cycle, path, connected_graphs
+from helpers import bfs_diameter, complete, cycle, path, connected_graphs
 
 
 def test_ceil_sqrt_oracles():
@@ -275,47 +274,54 @@ EXACT_DIAMETER_SPECS = (
 )
 def test_closed_form_diameter_is_exact(spec):
     g, meta = build_family(spec)
-    assert meta.kind in _EXACT_DIAMETER_KINDS
-    assert meta.declared_diameter_bound == g.diameter()
+    assert meta.declared_diameter_bound == bfs_diameter(g)
 
 
-def test_bound_matrix_skips_the_bfs_where_the_diameter_is_closed_form(monkeypatch):
-    def no_bfs(self):
-        raise AssertionError("all-source BFS on a closed-form kind")
+@pytest.mark.parametrize("spec", [
+    FamilySpec("glued_G", {"L": 16, "delta": 4, "a": 8.0, "m": 5}),
+    FamilySpec("degenerate_lower_G", {"L": 8, "delta": 3, "d": 2, "a": 8.0, "m": 3}),
+    FamilySpec("grid", {"d": 3, "k": 3}),
+], ids=["glued_G", "degenerate_lower_G", "grid"])
+def test_bound_matrix_runs_no_search(spec, monkeypatch):
+    # Every breadth-first search goes through Graph._structure, so once the
+    # graph is built a structure that cannot be made shows that none runs.
+    g, meta = build_family(spec)
 
-    g, meta = build_family(FamilySpec("grid", {"d": 3, "k": 3}))
-    kg, kmeta = build_family(FamilySpec("complete", {"n": 32}))
-    monkeypatch.setattr(Graph, "diameter", no_bfs)
-    assert bound_matrix(g, meta)[0].formula == "4*ln(n) + 2*diameter"
-    assert bound_matrix(kg, kmeta)[0].formula == "4*ln(n) + 2*diameter"
+    def no_search(self):
+        raise AssertionError("bound_matrix searched the graph")
+
+    monkeypatch.setattr(Graph, "_structure", no_search)
+    rows = bound_matrix(g, meta)
+    diam = meta.declared_diameter_bound
+    assert rows[0].value == 4 * math.log(g.n) + 2 * diam
+    assert rows[0].formula == "4*ln(n) + 2*diameter"
 
 
-# kind and formula of each row; {d} names the diameter the row used.
+# kind and formula of each row
 ROW_FORMULAS = {
-    "cover_log_diameter": ("cover_time", "4*ln(n) + 2*{d}"),
-    "height_max_degree": ("height", "ceil(2*e*max_degree*(4*ln(n) + 2*{d}))"),
+    "cover_log_diameter": ("cover_time", "4*ln(n) + 2*diameter"),
+    "height_max_degree": ("height", "ceil(2*e*max_degree*(4*ln(n) + 2*diameter))"),
     "height_degeneracy": (
-        "height", "ceil(8*e*sqrt(degeneracy*max_degree)*(2*{d} + 4*ln(n)))"
+        "height", "ceil(8*e*sqrt(degeneracy*max_degree)*(2*diameter + 4*ln(n)))"
     ),
-    "height_genus": ("height", "ceil(16*e*sqrt(6*max_degree)*(2*{d} + 4*ln(n)))"),
+    "height_genus": ("height", "ceil(16*e*sqrt(6*max_degree)*(2*diameter + 4*ln(n)))"),
     "height_expansion": ("height", "ceil(4*e*inverse_boundary_sum*max_degree)"),
 }
 
-# name: (family, diameter source, [(check_id, repr(value), repr(failure_prob))]),
-# every row bound_matrix gives, in order.  K_1 and K_2 have allowance
-# p = 2/n >= 1, so no cover or cutoff row, and K_1 has no edge, so no
-# height row; the expansion row stops past n = 16 (K_16 against K_17); ladder_H
-# declares no genus; Q_14's n*m is past _DIAMETER_COST_CAP, so its rows
-# use the declared diameter bound.
+# name: (family, [(check_id, repr(value), repr(failure_prob))]), every row
+# bound_matrix gives, in order.  K_1 and K_2 have allowance p = 2/n >= 1, so
+# no cover or cutoff row, and K_1 has no edge, so no height row; the
+# expansion row stops past n = 16 (K_16 against K_17); ladder_H declares no
+# genus.
 PINNED_ROWS = {
-    "K1": (FamilySpec("complete", {"n": 1}), "diameter", []),
+    "K1": (FamilySpec("complete", {"n": 1}), []),
     "K2": (
-        FamilySpec("complete", {"n": 2}), "diameter", [
+        FamilySpec("complete", {"n": 2}), [
             ("height_expansion", "11", "0.00048828125"),
         ],
     ),
     "K16": (
-        FamilySpec("complete", {"n": 16}), "diameter", [
+        FamilySpec("complete", {"n": 16}), [
             ("cover_log_diameter", "13.090354888959125", "0.125"),
             ("height_max_degree", "1068", "0.125"),
             ("height_degeneracy", "4270", "0.125"),
@@ -324,7 +330,7 @@ PINNED_ROWS = {
         ],
     ),
     "K17": (
-        FamilySpec("complete", {"n": 17}), "diameter", [
+        FamilySpec("complete", {"n": 17}), [
             ("cover_log_diameter", "13.332853376224865", "0.11764705882352941"),
             ("height_max_degree", "1160", "0.11764705882352941"),
             ("height_degeneracy", "4640", "0.11764705882352941"),
@@ -332,7 +338,7 @@ PINNED_ROWS = {
         ],
     ),
     "K32": (
-        FamilySpec("complete", {"n": 32}), "diameter", [
+        FamilySpec("complete", {"n": 32}), [
             ("cover_log_diameter", "15.862943611198906", "0.0625"),
             ("height_max_degree", "2674", "0.0625"),
             ("height_degeneracy", "10694", "0.0625"),
@@ -340,14 +346,14 @@ PINNED_ROWS = {
         ],
     ),
     "K256": (
-        FamilySpec("complete", {"n": 256}), "diameter", [
+        FamilySpec("complete", {"n": 256}), [
             ("cover_log_diameter", "24.18070977791825", "0.0078125"),
             ("height_max_degree", "33523", "0.0078125"),
             ("height_degeneracy", "134090", "0.0078125"),
         ],
     ),
     "grid2x7": (
-        FamilySpec("grid", {"d": 2, "k": 7}), "diameter", [
+        FamilySpec("grid", {"d": 2, "k": 7}), [
             ("cover_log_diameter", "44.63553233343869", "0.03125"),
             ("height_max_degree", "971", "0.03125"),
             ("height_degeneracy", "2746", "0.03125"),
@@ -355,28 +361,28 @@ PINNED_ROWS = {
         ],
     ),
     "grid3x3": (
-        FamilySpec("grid", {"d": 3, "k": 3}), "diameter", [
+        FamilySpec("grid", {"d": 3, "k": 3}), [
             ("cover_log_diameter", "34.63553233343869", "0.03125"),
             ("height_max_degree", "1130", "0.03125"),
             ("height_degeneracy", "3196", "0.03125"),
         ],
     ),
     "Q10": (
-        FamilySpec("grid", {"d": 10, "k": 1}), "diameter", [
+        FamilySpec("grid", {"d": 10, "k": 1}), [
             ("cover_log_diameter", "47.725887222397816", "0.001953125"),
             ("height_max_degree", "2595", "0.001953125"),
             ("height_degeneracy", "10379", "0.001953125"),
         ],
     ),
     "ladder_H_L16_delta4": (
-        FamilySpec("ladder_H", {"L": 16, "delta": 4}), "diameter", [
+        FamilySpec("ladder_H", {"L": 16, "delta": 4}), [
             ("cover_log_diameter", "46.63553233343869", "0.03125"),
             ("height_max_degree", "2029", "0.03125"),
             ("height_degeneracy", "5737", "0.03125"),
         ],
     ),
     "ladder_H_L3_delta3": (
-        FamilySpec("ladder_H", {"L": 3, "delta": 3}), "diameter", [
+        FamilySpec("ladder_H", {"L": 3, "delta": 3}), [
             ("cover_log_diameter", "12.788898309344878", "0.2222222222222222"),
             ("height_max_degree", "418", "0.2222222222222222"),
             ("height_degeneracy", "1180", "0.2222222222222222"),
@@ -384,7 +390,7 @@ PINNED_ROWS = {
         ],
     ),
     "glued_G_L4_delta1_a8_m2": (
-        FamilySpec("glued_G", {"L": 4, "delta": 1, "a": 8, "m": 2}), "diameter", [
+        FamilySpec("glued_G", {"L": 4, "delta": 1, "a": 8, "m": 2}), [
             ("cover_log_diameter", "17.591581091193483", "0.18181818181818182"),
             ("height_max_degree", "287", "0.18181818181818182"),
             ("height_degeneracy", "938", "0.18181818181818182"),
@@ -393,7 +399,7 @@ PINNED_ROWS = {
         ],
     ),
     "Q14": (
-        FamilySpec("grid", {"d": 14, "k": 1}), "declared_diameter_bound", [
+        FamilySpec("grid", {"d": 14, "k": 1}), [
             ("cover_log_diameter", "66.81624211135693", "0.0001220703125"),
             ("height_max_degree", "5086", "0.0001220703125"),
             ("height_degeneracy", "20343", "0.0001220703125"),
@@ -404,7 +410,7 @@ PINNED_ROWS = {
 
 @pytest.mark.parametrize("name", list(PINNED_ROWS))
 def test_bound_matrix_rows_are_pinned(name):
-    spec, diam_src, expected = PINNED_ROWS[name]
+    spec, expected = PINNED_ROWS[name]
     g, meta = build_family(spec)
     got = [
         (r.check_id, r.kind, repr(r.value), repr(r.failure_prob), r.formula)
@@ -413,7 +419,7 @@ def test_bound_matrix_rows_are_pinned(name):
     want = []
     for check_id, value, failure_prob in expected:
         kind, formula = ROW_FORMULAS[check_id]
-        want.append((check_id, kind, value, failure_prob, formula.format(d=diam_src)))
+        want.append((check_id, kind, value, failure_prob, formula))
     assert got == want
 
 

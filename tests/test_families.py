@@ -3,7 +3,8 @@
 Sizes, degrees, vertex roles, and resolved parameters are frozen by hand
 from the construction definitions; structural claims (planarity,
 diameter, degeneracy) are cross-checked against networkx and the
-measuring code on instances small enough to afford it.
+measuring code on instances small enough to afford it.  Every declared
+diameter is exact, so it must equal a breadth-first search's.
 """
 
 import hashlib
@@ -30,7 +31,7 @@ from treegrowth.families import (
 )
 from treegrowth.graphs import BudgetExceededError
 
-from helpers import to_networkx
+from helpers import bfs_diameter, to_networkx
 
 
 def build(kind, **params):
@@ -62,7 +63,7 @@ def test_grid_square():
     assert meta.declared_diameter_bound == 6
     assert meta.declared_degeneracy == 2
     assert meta.declared_genus == 0
-    assert g.diameter() == 6
+    assert bfs_diameter(g) == 6
     g2, _ = build("grid", d=2, k=2)
     assert g2.n == 9 and g2.m == 12
 
@@ -72,7 +73,7 @@ def test_grid_cube():
     assert g.n == 8 and g.m == 12
     assert meta.declared_max_degree == 3
     assert meta.declared_genus == 0
-    assert g.diameter() == 3
+    assert bfs_diameter(g) == 3
 
 
 def test_grid_path():
@@ -124,7 +125,7 @@ def test_subdivided_tree_with_paths():
     assert g.n == 11
     assert meta.declared_max_degree == 3
     assert meta.declared_diameter_bound == 6
-    assert g.diameter() == 6
+    assert bfs_diameter(g) == 6
     assert g.degeneracy() == 1
 
 
@@ -179,7 +180,7 @@ def test_glued_edge_split_counts():
 
 def test_glued_respects_declared_bounds():
     g, meta = build("glued_G", L=8, delta=2, a=8.0)
-    assert g.diameter() <= meta.declared_diameter_bound
+    assert bfs_diameter(g) == meta.declared_diameter_bound
     assert g.degeneracy() <= meta.declared_degeneracy
     assert meta.declared_genus is None  # gluing breaks planarity at delta = 2
     g1, meta1 = build("glued_G", L=8, delta=1, a=8.0, m=2)
@@ -211,7 +212,7 @@ def test_planar_lower_is_planar():
     assert meta.declared_genus == 0
     assert nx.check_planarity(to_networkx(g))[0]
     assert g.degeneracy() <= meta.declared_degeneracy == 3
-    assert g.diameter() <= meta.declared_diameter_bound
+    assert bfs_diameter(g) == meta.declared_diameter_bound
 
 
 def test_planar_formula_hypothesis_enforced():
@@ -266,7 +267,7 @@ def test_degenerate_measured_degeneracy_is_twice_d():
 
 def test_degenerate_respects_declared_bounds():
     g, meta = build("degenerate_lower_G", L=4, delta=4, d=2, m=3)
-    assert g.diameter() <= meta.declared_diameter_bound
+    assert bfs_diameter(g) == meta.declared_diameter_bound
     assert g.max_degree == meta.declared_max_degree == 8
 
 
@@ -284,7 +285,8 @@ def test_planar_lower_is_degenerate_lower_at_d_1(L, delta, extra):
     assert g.n == g1.n
     assert np.array_equal(g.edges, g1.edges)
     for role in ("main_groups", "small_groups", "leaf_vertices", "tree_root", "tree_edges",
-                 "chain_vertex_count", "start_vertex", "target_vertex", "height_target"):
+                 "chain_vertex_count", "start_vertex", "target_vertex", "height_target",
+                 "declared_diameter_bound"):
         assert getattr(meta, role) == getattr(meta1, role), role
     assert meta.params["m"] == meta1.params["m"]
     assert meta.params["theta"] == meta1.params["theta"]
@@ -330,8 +332,49 @@ _SMALL_INSTANCES = [
 @pytest.mark.parametrize("kind, params", _SMALL_INSTANCES)
 def test_declared_bounds_hold_on_small_instances(kind, params):
     g, meta = build(kind, **params)
-    assert meta.declared_diameter_bound >= g.diameter()
+    assert meta.declared_diameter_bound == bfs_diameter(g)
     assert meta.declared_degeneracy >= g.degeneracy()
+
+
+# The chain kinds' declared diameter against an all-source BFS.  Every L and
+# delta of the sweep runs m = 1..12 and 40, where the longest distances
+# switch between H's routes and I's; above L = 16 only some m run, to keep
+# the sweep to a few seconds.  The planar chain is the separated chain at
+# d = 1 (see above), so past L = 16 the degenerate sweep stands for it;
+# the diameter's routes do not depend on d, so d runs 1 and min(3, delta).
+_SWEEP_M = (*range(1, 13), 40)
+_SWEEP_M_LONG = (1, 2, 3, 5, 8, 12, 40)
+
+
+@pytest.mark.parametrize("kind, L", [
+    (kind, L) for kind in ("glued_G", "planar_lower_G", "degenerate_lower_G")
+    for L in (2, 4, 8, 16, 32, 64) if kind != "planar_lower_G" or L <= 16
+])
+def test_chain_diameter_is_exact(kind, L):
+    for delta in (1, 2, 3, 8):
+        for d in sorted({1, min(3, delta)}) if kind == "degenerate_lower_G" else (None,):
+            for m in _SWEEP_M if L <= 16 else _SWEEP_M_LONG:
+                params = {"L": L, "delta": delta, "a": 8.0, "m": m}
+                if d is not None:
+                    params["d"] = d
+                g, meta = build(kind, **params)
+                assert meta.declared_diameter_bound == bfs_diameter(g), params
+
+
+# Criterion 9's campaigns, whose graphs run to 15 679 vertices, with the
+# diameter an all-source BFS measured on each; at seconds a graph, those
+# searches stay out of the tests, and the sweep above checks the formula.
+@pytest.mark.parametrize("kind, params, diameter", [
+    ("glued_G", {"L": 64, "delta": 8, "a": 4 * E2}, 274),
+    ("glued_G", {"L": 32, "delta": 4, "a": 2 * E2}, 139),
+    ("glued_G", {"L": 32, "delta": 8, "a": 2 * E2}, 80),
+    ("planar_lower_G", {"L": 32, "delta": 4, "a": 2 * E2}, 273),
+    ("planar_lower_G", {"L": 32, "delta": 8, "a": 2 * E2}, 204),
+    ("degenerate_lower_G", {"L": 32, "delta": 4, "d": 2, "a": 2 * E2}, 204),
+    ("degenerate_lower_G", {"L": 32, "delta": 8, "d": 4, "a": 2 * E2}, 120),
+])
+def test_campaign_scale_diameters_are_pinned(kind, params, diameter):
+    assert build(kind, **params)[1].declared_diameter_bound == diameter
 
 
 # -- dispatch, planning, serialization ----------------------------------------------------

@@ -15,6 +15,7 @@ from scipy import stats
 from helpers import exact_set_chain
 from treegrowth import growth, harness
 from treegrowth.families import FamilySpec, build_family
+from treegrowth.growth import grow_fpp_block, sample_edge_weights
 from treegrowth.harness import ExperimentSpec, run_experiment
 from treegrowth.randomness import stream_for
 
@@ -30,25 +31,40 @@ COVER_MEAN = sum(1 / r for r in _RATES)
 COVER_SD = math.sqrt(sum(1 / r**2 for r in _RATES))
 
 
-def complete_cover_time_z() -> float:
-    """z-score of the mean K_32 cover time over an FPP campaign."""
+# On grid(2, 3), a non-complete graph, the exact chain over reached sets
+# gives the cover time's mean (3.453848) and variance from the corner.
+GRID = FamilySpec("grid", {"d": 2, "k": 3})
+GRID_COVER_SEED = 3  # fixed before the first run
+
+
+def cover_time_z(family: FamilySpec, seed: int, mean: float, sd: float) -> float:
+    """z-score of the mean cover time over a COVER_TRIALS-trial FPP campaign."""
     spec = ExperimentSpec(
-        FamilySpec("complete", {"n": COVER_N}),
+        family,
         process="fpp",
         trials=COVER_TRIALS,
-        master_seed=COVER_SEED,
+        master_seed=seed,
         metrics=("cover_time",),
     )
     records, _ = run_experiment(spec)
     cover = np.array([r.cover_time for r in records])
-    return (cover.mean() - COVER_MEAN) / (COVER_SD / math.sqrt(COVER_TRIALS))
+    return (cover.mean() - mean) / (sd / math.sqrt(COVER_TRIALS))
 
 
-def test_complete_cover_time_matches_known_answer():
-    assert abs(complete_cover_time_z()) <= 4
+def complete_cover_time_z() -> float:
+    """z-score of the mean K_32 cover time against Janson's stage sum."""
+    return cover_time_z(FamilySpec("complete", {"n": COVER_N}), COVER_SEED, COVER_MEAN, COVER_SD)
 
 
-def test_doubled_weights_fail_the_cover_time_law(monkeypatch):
+def grid_cover_time_z() -> float:
+    """z-score of the mean grid(2, 3) cover time against the exact chain."""
+    g, _ = build_family(GRID)
+    chain = exact_set_chain(g, 0)
+    assert round(chain.cover_mean, 6) == 3.453848
+    return cover_time_z(GRID, GRID_COVER_SEED, chain.cover_mean, math.sqrt(chain.cover_var))
+
+
+def doubled_weights(monkeypatch) -> None:
     # Doubling every weight leaves the shortest-path tree, and so every
     # height and the law comparisons, unchanged; only the times' size shows it.
     draw = harness.sample_edge_weights
@@ -59,7 +75,24 @@ def test_doubled_weights_fail_the_cover_time_law(monkeypatch):
         return weights
 
     monkeypatch.setattr(harness, "sample_edge_weights", doubled)
+
+
+def test_complete_cover_time_matches_known_answer():
+    assert abs(complete_cover_time_z()) <= 4
+
+
+def test_doubled_weights_fail_the_cover_time_law(monkeypatch):
+    doubled_weights(monkeypatch)
     assert abs(complete_cover_time_z()) > 4
+
+
+def test_grid_cover_time_matches_known_answer():
+    assert abs(grid_cover_time_z()) <= 4
+
+
+def test_doubled_weights_fail_the_grid_cover_time(monkeypatch):
+    doubled_weights(monkeypatch)
+    assert abs(grid_cover_time_z()) > 4
 
 
 # Parent marginals on grid(2, 3) from its corner, against the exact chain
@@ -68,26 +101,41 @@ def test_doubled_weights_fail_the_cover_time_law(monkeypatch):
 # whose marginal the uniform-boundary-vertex mutant moves most (exact
 # noncentrality 0.030 per tree on 3 degrees of freedom, so about 120 at
 # PARENT_TREES trees).
-PARENT_GRID = FamilySpec("grid", {"d": 2, "k": 3})
 PARENT_VERTEX = 6
 PARENT_TREES = 4000
 PARENT_SEED = 2  # fixed before the first run
+FPP_PARENT_SEED = 4  # fixed before the first run
 
 
-def parent_marginal_pvalue() -> float:
-    """Chi-square p-value of PARENT_VERTEX's parent over discrete trees."""
-    g, _ = build_family(PARENT_GRID)
+def marginal_pvalue(g, parents: np.ndarray) -> float:
+    """Chi-square p-value of PARENT_VERTEX's parent over the rows of a
+    (trees, n) parent array, against the exact chain's marginal."""
     law = exact_set_chain(g, 0).parent[PARENT_VERTEX]
-    stream = stream_for(PARENT_SEED, 0)
-    parents = growth._grow_discrete_rows(g, 0, stream, PARENT_TREES)
     counts = np.bincount(parents[:, PARENT_VERTEX], minlength=g.n)
     support = law > 0
     assert not counts[~support].any()
     return stats.chisquare(counts[support], law[support] * PARENT_TREES).pvalue
 
 
+def parent_marginal_pvalue() -> float:
+    """The marginal's p-value over discrete trees."""
+    g, _ = build_family(GRID)
+    stream = stream_for(PARENT_SEED, 0)
+    return marginal_pvalue(g, growth._grow_discrete_rows(g, 0, stream, PARENT_TREES))
+
+
 def test_discrete_parent_marginal_matches_known_answer():
     assert parent_marginal_pvalue() > 1e-3
+
+
+def test_fpp_parent_marginal_matches_known_answer():
+    # The FPP tree is the discrete tree's law (criterion 1), so the same
+    # marginal holds for shortest-path trees on per-trial weight streams.
+    g, _ = build_family(GRID)
+    weights = np.empty((PARENT_TREES, g.m))
+    for trial in range(PARENT_TREES):
+        sample_edge_weights(g, stream_for(FPP_PARENT_SEED, trial), out=weights[trial])
+    assert marginal_pvalue(g, grow_fpp_block(g, 0, weights).parent) > 1e-3
 
 
 def test_uniform_boundary_vertex_fails_the_parent_marginal(monkeypatch):

