@@ -336,12 +336,12 @@ def test_declared_bounds_hold_on_small_instances(kind, params):
     assert meta.declared_degeneracy >= g.degeneracy()
 
 
-# The chain kinds' declared diameter against an all-source BFS.  Every L and
-# delta of the sweep runs m = 1..12 and 40, where the longest distances
-# switch between H's routes and I's; above L = 16 only some m run, to keep
-# the sweep to a few seconds.  The planar chain is the separated chain at
-# d = 1 (see above), so past L = 16 the degenerate sweep stands for it;
-# the diameter's routes do not depend on d, so d runs 1 and min(3, delta).
+# The chain kinds' declared diameter against an all-source BFS, over delta
+# in {1, 2, 3, 8} and m = 1..12 and 40; above L = 16 a subset of those m
+# runs, to keep the sweep to a few seconds.  The planar chain is the
+# separated chain at d = 1 (see above), so past L = 16 the degenerate sweep
+# stands for it; the diameter's routes do not depend on d, so d runs 1 and
+# min(3, delta).
 _SWEEP_M = (*range(1, 13), 40)
 _SWEEP_M_LONG = (1, 2, 3, 5, 8, 12, 40)
 

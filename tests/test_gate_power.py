@@ -15,7 +15,6 @@ from scipy import stats
 from helpers import exact_set_chain
 from treegrowth import growth, harness
 from treegrowth.families import FamilySpec, build_family
-from treegrowth.growth import grow_fpp_block, sample_edge_weights
 from treegrowth.harness import ExperimentSpec, run_experiment
 from treegrowth.randomness import stream_for
 
@@ -134,8 +133,8 @@ def test_fpp_parent_marginal_matches_known_answer():
     g, _ = build_family(GRID)
     weights = np.empty((PARENT_TREES, g.m))
     for trial in range(PARENT_TREES):
-        sample_edge_weights(g, stream_for(FPP_PARENT_SEED, trial), out=weights[trial])
-    assert marginal_pvalue(g, grow_fpp_block(g, 0, weights).parent) > 1e-3
+        growth.sample_edge_weights(g, stream_for(FPP_PARENT_SEED, trial), out=weights[trial])
+    assert marginal_pvalue(g, growth.grow_fpp_block(g, 0, weights).parent) > 1e-3
 
 
 def test_uniform_boundary_vertex_fails_the_parent_marginal(monkeypatch):

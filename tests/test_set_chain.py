@@ -81,8 +81,8 @@ def test_fpp_cover_time_matches_the_exact_chain(family, mean):
     se = math.sqrt(chain.cover_var / CHAIN_TRIALS)
     assert abs(cover.mean() - chain.cover_mean) / se <= 4
     # Each vertex but the start, against its exact mean, with the sample sd.
-    hitting = np.array([r.hitting_times for r in records])
     others = np.arange(g.n) != meta.start_vertex
-    sd = hitting[:, others].std(axis=0, ddof=1)
-    z = (hitting[:, others].mean(axis=0) - chain.hitting_mean[others]) / (sd / math.sqrt(CHAIN_TRIALS))
+    hitting = np.array([r.hitting_times for r in records])[:, others]
+    se = hitting.std(axis=0, ddof=1) / math.sqrt(CHAIN_TRIALS)
+    z = (hitting.mean(axis=0) - chain.hitting_mean[others]) / se
     assert np.abs(z).max() <= HITTING_Z
