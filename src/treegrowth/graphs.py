@@ -12,15 +12,14 @@ up.  The scipy structure matrix the breadth-first searches run on is
 built by each query that needs it, shares the CSR's columns and is freed
 when the query returns.  Two exact scans each return the one number the
 height ceilings read: :meth:`Graph.degeneracy`, from a smallest-last
-peel, and :meth:`Graph.boundary_minima`, the least edge boundary of each
-subset size, found by enumerating the subsets of a graph with at most
-``_BOUNDARY_SCAN_MAX_N`` vertices.  All randomness lives elsewhere;
-everything in this module is deterministic.
+peel over a bucket queue, and :meth:`Graph.boundary_minima`, the least
+edge boundary of each subset size, found by enumerating the subsets of a
+graph with at most ``_BOUNDARY_SCAN_MAX_N`` vertices.  All randomness
+lives elsewhere; everything in this module is deterministic.
 """
 
 from __future__ import annotations
 
-import heapq
 import operator
 
 import numpy as np
@@ -309,27 +308,36 @@ class Graph:
     def degeneracy(self) -> int:
         """Largest degree a vertex has when removed by a smallest-last peel.
 
-        The peel takes a vertex of least remaining degree (lowest index on
-        ties) at each step, on Python lists: one ``tolist`` of the CSR sliced
-        by row, so each degree decrement touches no numpy scalar.
+        The peel takes a vertex of least remaining degree at each step from
+        a bucket queue keyed by degree (Matula and Beck, *JACM* 30, 1983), on
+        Python lists: one ``tolist`` of the CSR sliced by row, so each degree
+        decrement touches no numpy scalar.  A decrement files the vertex in
+        its new bucket and leaves a stale entry behind; each edge decrements
+        at most once, so there are at most n + m entries.  The least degree drops by at most one per removal,
+        so the scan for the next non-empty bucket costs O(n + m) in all.
+        Every smallest-last order gives the same largest removal degree.
         """
         flat, ptr = self._csr_indices.tolist(), self._csr_indptr.tolist()
         deg = self._degrees.tolist()
         removed = [False] * self.n
-        heap: list[tuple[int, int]] = [(d, v) for v, d in enumerate(deg)]
-        heapq.heapify(heap)
-        pop, push = heapq.heappop, heapq.heappush
-        degeneracy = 0
-        while heap:
-            d, v = pop(heap)
-            if removed[v] or d != deg[v]:
-                continue  # stale heap entry
+        buckets: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
+        for v, d in enumerate(deg):
+            buckets[d].append(v)
+        degeneracy = d = 0
+        for _ in range(self.n):
+            while True:
+                while not buckets[d]:
+                    d += 1
+                v = buckets[d].pop()
+                if not removed[v] and deg[v] == d:
+                    break  # else a stale entry
             removed[v] = True
             degeneracy = max(degeneracy, d)
             for u in flat[ptr[v] : ptr[v + 1]]:
                 if not removed[u]:
                     deg[u] -= 1
-                    push(heap, (deg[u], u))
+                    buckets[deg[u]].append(u)
+            d = max(d - 1, 0)
         return degeneracy
 
     # -- exact boundary minima ---------------------------------------------

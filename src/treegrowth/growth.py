@@ -7,13 +7,13 @@ as a lazy *segment* at O(1) Python cost; a batched numpy *flush* turns the
 pending segments into explicit entries and drops stale ones once
 rejections since the last flush exceed a fraction of the slots, and those
 rejections pay for it, so a tree costs O(n + m).  On K_n no flush fires
-and a tree costs about n ln n draws.  A block of trees from one stream,
-as a law test draws them, shares one set-up and reads one run of
-uniforms, each tree starting where the last one stopped reading.  The
-continuous process assigns independent unit-rate exponential weights to
-all edges and takes the shortest-path tree; by memorylessness the two
-processes produce the same tree law, which the law-equivalence machinery
-here verifies empirically against an exact enumeration.
+and a tree costs about n ln n draws.  A block of trees from one stream
+shares one set-up and reads one run of uniforms, one pass per tree, each
+tree starting where the last one stopped reading.  The continuous process
+assigns independent unit-rate exponential weights to all edges and takes
+the shortest-path tree; by memorylessness the two processes produce the
+same tree law, which the law-equivalence machinery here verifies
+empirically against an exact enumeration.
 
 All shortest-path trees come from one kernel, :func:`grow_fpp_block`: a
 block of B weight draws is stacked into one block-diagonal graph and solved
@@ -139,9 +139,8 @@ def grow_discrete(g: Graph, s: int, stream: np.random.Generator) -> RootedTree:
     edges.  The share outgrows the rejections, so no flush fired in trees
     on K_256 and K_1024.
 
-    A law test grows its trees a block at a time through
-    :func:`_grow_discrete_rows`, which shares the set-up and one run of
-    uniforms across the block; its first tree is the one this call gives.
+    This is the first row of :func:`_grow_discrete_rows`, which grows a
+    block of trees in one pass per tree over one run of uniforms.
     """
     return RootedTree(s, _grow_discrete_rows(g, s, stream, 1)[0])
 
@@ -149,84 +148,85 @@ def grow_discrete(g: Graph, s: int, stream: np.random.Generator) -> RootedTree:
 def _grow_discrete_rows(
     g: Graph, s: int, stream: np.random.Generator, count: int
 ) -> np.ndarray:
-    """Parents of ``count`` independent discrete trees from ``s``, one row
-    per tree.
+    """Parents of ``count`` independent discrete trees from ``s``, one row per tree.
 
     The block reads one run of uniforms from ``stream``, drawn in batches
-    of 2(n - 1), 4(n - 1), 8(n - 1), ... as it needs them.  Tree k starts
-    at the uniform after the last one tree k - 1 read, so nothing is
-    skipped and row 0 is the tree :func:`grow_discrete` grows on the same
-    stream.  A tree ends at a stopping time of the run, so the uniforms
-    after it are fresh and the rows are i.i.d.
+    of 2(n - 1), 4(n - 1), 8(n - 1), ... as it needs them.  Tree k is one
+    pass over the run, from the uniform after the last one tree k - 1 read
+    to its (n - 1)-th join, a stopping time, so the rows are i.i.d. and row
+    0 is the tree :func:`grow_discrete` grows on the same stream.  Joins
+    only add slots, so the flush limit only grows between flushes: ``limit``
+    may trail it, refreshed once the rejections cross it, and still flushes
+    where a current limit would.
     """
     if not 0 <= s < g.n:
         raise GraphError(f"start vertex {s} out of range")
     n = g.n
     indptr, indices = memoryview(g.adj_indptr), memoryview(g.adj_indices)
     edge_ids, ends = memoryview(g.adj_edge_ids), memoryview(g.edges.reshape(-1))
-    rows = np.empty((count, n), dtype=np.int64)
+    rows = np.full((count, n), -1, dtype=np.int64)
+    if n == 1:
+        return rows
     parent = memoryview(rows.reshape(-1))
     no_entries = np.empty(0, dtype=np.int64)
+    fresh = b"\x01" * s + b"\x00" + b"\x01" * (n - 1 - s)  # outside at a tree's start
+    floor, degree, shift = _FLUSH_MIN, indptr[s + 1] - indptr[s], indptr[s]
     draws = chain.from_iterable(
         stream.random(2 * (n - 1) << k).tolist() for k in doublings()
     )
-    for k in range(count):
-        row = k * n
-        parent[row + s] = -1
-        outside = bytearray(b"\x01") * n
-        outside[s] = 0
-        # Entries are slots 0 .. size - 1, each a CSR position.  Segment j is
-        # the CSR slice of vertex seg_vertex[j]: seg_len[j] slots from
-        # seg_start[j] on, slot i being the CSR position i + seg_shift[j].
+    for row in range(0, count * n, n):
+        outside = bytearray(fresh)
+        # Entries are slots 0 .. size - 1, each a CSR position.  Segment j, the
+        # CSR slice of vertex seg_vertex[j], has the slots from seg_start[j] to
+        # the next start (or total), slot i at CSR position i + seg_shift[j].
         entry_pos, entries, size = no_entries, None, 0
-        seg_vertex, seg_start, seg_shift = [s], [0], [indptr[s]]
-        total = indptr[s + 1] - indptr[s]
-        seg_len = [total]
-        rejects, limit = 0, max(total // _FLUSH_SHARE, _FLUSH_MIN)
-        for _ in range(n - 1):
-            for x in draws:
-                i = int(x * total)
-                if i < size:
-                    pos = entries[i]
-                    v = indices[pos]
-                    if outside[v]:
-                        e = 2 * edge_ids[pos]
-                        u = ends[e] + ends[e + 1] - v  # the edge's other end
-                        break
-                else:
-                    j = bisect_right(seg_start, i) - 1
-                    v = indices[i + seg_shift[j]]
-                    if outside[v]:
-                        u = seg_vertex[j]
-                        break
-                rejects += 1
+        seg_vertex, seg_start, seg_shift = [s], [0], [shift]
+        total, rejects, limit, left = degree, 0, floor, n - 1
+        for x in draws:
+            i = int(x * total)
+            if i < size:
+                pos = entries[i]
+                v = indices[pos]
+                if outside[v]:
+                    e = 2 * edge_ids[pos]
+                    u = ends[e] + ends[e + 1] - v  # the edge's other end
+            else:
+                j = bisect_right(seg_start, i) - 1
+                v = indices[i + seg_shift[j]]
+                u = seg_vertex[j]
+            if outside[v]:
+                parent[row + v] = u
+                left -= 1
+                if not left:
+                    break
+                outside[v] = 0
+                lo = indptr[v]
+                seg_vertex.append(v)
+                seg_start.append(total)
+                seg_shift.append(lo - total)
+                total += indptr[v + 1] - lo
+                continue
+            rejects += 1
+            if rejects > limit:
+                limit = max(total // _FLUSH_SHARE, floor)
                 if rejects > limit:
                     entry_pos = _flush(
-                        outside, g.adj_indices, entry_pos, seg_shift, seg_len, total
+                        outside, g.adj_indices, entry_pos, seg_start, seg_shift, total
                     )
                     entries = memoryview(entry_pos)
                     size = total = entry_pos.size
-                    seg_vertex, seg_start, seg_shift, seg_len = [], [], [], []
-                    rejects, limit = 0, max(total // _FLUSH_SHARE, _FLUSH_MIN)
-            parent[row + v] = u
-            outside[v] = 0
-            lo, hi = indptr[v], indptr[v + 1]
-            seg_vertex.append(v)
-            seg_start.append(total)
-            seg_shift.append(lo - total)
-            seg_len.append(hi - lo)
-            total += hi - lo
-            limit = max(total // _FLUSH_SHARE, _FLUSH_MIN)
+                    seg_vertex, seg_start, seg_shift = [], [], []
+                    rejects, limit = 0, floor
     return rows
 
 
-def _flush(outside, indices, entry_pos, seg_shift, seg_len, total):
+def _flush(outside, indices, entry_pos, seg_start, seg_shift, total):
     """CSR positions of the live slots: the entries, then every pending
-    segment's half-edges, each kept when its far end is still outside."""
-    segments = np.arange(entry_pos.size, total) + np.repeat(
-        np.array(seg_shift, dtype=np.int64), np.array(seg_len, dtype=np.int64)
-    )
-    pos = np.concatenate([entry_pos, segments])
+    segment's half-edges (up to the next start, or ``total``), each kept
+    when its far end is still outside."""
+    bounds = np.array(seg_start + [total], dtype=np.int64)
+    shifts = np.repeat(np.array(seg_shift, dtype=np.int64), bounds[1:] - bounds[:-1])
+    pos = np.concatenate([entry_pos, np.arange(entry_pos.size, total) + shifts])
     return pos[np.frombuffer(outside, dtype=bool)[indices[pos]]]
 
 

@@ -1,14 +1,18 @@
 """Small graph builders, hypothesis strategies and exact references shared
 across test modules."""
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain, count as doublings
 
 import networkx as nx
 import numpy as np
 from hypothesis import strategies as st
+from scipy import stats
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 
+from treegrowth import growth
 from treegrowth.graphs import _BOUNDARY_SCAN_MAX_N, BudgetExceededError, Graph, GraphError
 
 
@@ -122,3 +126,139 @@ def exact_set_chain(g: Graph, s: int) -> SetChain:
         sets, to = np.unique(sets[k] | bit[v], return_inverse=True)
         p, m1, m2 = (np.bincount(to, weights=x[k] * step) for x in (p, m1, m2))
     return SetChain(float(m1[0]), float(m2[0] - m1[0] ** 2), hitting, parent)
+
+
+def rrt_height_cdf(n: int, one=1.0, tail: float = 0.0) -> list:
+    """P(H_n <= h) for h = 0, 1, ..., H_n the height of a random recursive
+    tree on n vertices (the discrete tree on K_n, Pittel 1994).
+
+    Recursive trees of height at most h have the exponential generating
+    function T_h, with T_0 = z and T_h' = exp(T_{h-1}) (Drmota, *Random
+    Trees*, 2009), so P(H_n <= h) = [z^(n-1)] exp(T_{h-1}).  Series are
+    cut at degree n - 1 and every term is non-negative, so nothing cancels.
+    Pass ``one=Fraction(1)`` for exact values.  The list stops once
+    1 - P(H_n <= h) is at most ``tail``, and at h = n - 1 in any case.
+    """
+    top = n - 1
+    t = [one * 0] * (top + 1)  # T_0 = z
+    if top:
+        t[1] = one
+    cdf = [one if n == 1 else one * 0]
+    for _ in range(top):
+        e = [one] + [one * 0] * top  # exp(T_{h-1}) by b_k = sum_j j a_j b_{k-j} / k
+        for k in range(1, top + 1):
+            e[k] = sum(j * t[j] * e[k - j] for j in range(1, k + 1)) / k
+        cdf.append(e[top])
+        if 1 - cdf[-1] <= tail:
+            break
+        t = [one * 0] + [e[k - 1] / k for k in range(1, top + 1)]
+    return cdf
+
+
+def rrt_height_pvalue(heights: np.ndarray, n: int) -> float:
+    """Chi-square p-value of tree heights on K_n against the random
+    recursive tree's height law, binned so every bin expects at least 5."""
+    trials = heights.size
+    cdf = np.array(rrt_height_cdf(n, tail=1e-12))
+    cuts = np.flatnonzero((cdf * trials >= 5) & ((1 - cdf) * trials >= 5))
+    edges = np.concatenate([[-1], cuts, [n]])  # bins (edges[i], edges[i + 1]]
+    expected = np.diff(np.concatenate([[0.0], cdf[cuts], [1.0]])) * trials
+    observed = np.histogram(heights, bins=edges + 0.5)[0]
+    assert observed.sum() == trials
+    return stats.chisquare(observed, expected).pvalue
+
+
+# -- the discrete sampler's former loop ----------------------------------------
+#
+# The loop ``growth._grow_discrete_rows`` ran before it became one pass per
+# tree, kept verbatim with its ``_flush`` as the oracle the new loop must
+# match row for row and uniform for uniform.  It re-enters its draw loop at
+# every join, recomputes the flush limit there and appends each segment's
+# length.  A test that lowers the flush floor patches ``_FLUSH_MIN`` here
+# as well as in ``growth``.
+
+_FLUSH_SHARE, _FLUSH_MIN = growth._FLUSH_SHARE, growth._FLUSH_MIN
+
+
+def _grow_discrete_rows(
+    g: Graph, s: int, stream: np.random.Generator, count: int
+) -> np.ndarray:
+    """Parents of ``count`` independent discrete trees from ``s``, one row
+    per tree.
+
+    The block reads one run of uniforms from ``stream``, drawn in batches
+    of 2(n - 1), 4(n - 1), 8(n - 1), ... as it needs them.  Tree k starts
+    at the uniform after the last one tree k - 1 read, so nothing is
+    skipped and row 0 is the tree :func:`grow_discrete` grows on the same
+    stream.  A tree ends at a stopping time of the run, so the uniforms
+    after it are fresh and the rows are i.i.d.
+    """
+    if not 0 <= s < g.n:
+        raise GraphError(f"start vertex {s} out of range")
+    n = g.n
+    indptr, indices = memoryview(g.adj_indptr), memoryview(g.adj_indices)
+    edge_ids, ends = memoryview(g.adj_edge_ids), memoryview(g.edges.reshape(-1))
+    rows = np.empty((count, n), dtype=np.int64)
+    parent = memoryview(rows.reshape(-1))
+    no_entries = np.empty(0, dtype=np.int64)
+    draws = chain.from_iterable(
+        stream.random(2 * (n - 1) << k).tolist() for k in doublings()
+    )
+    for k in range(count):
+        row = k * n
+        parent[row + s] = -1
+        outside = bytearray(b"\x01") * n
+        outside[s] = 0
+        # Entries are slots 0 .. size - 1, each a CSR position.  Segment j is
+        # the CSR slice of vertex seg_vertex[j]: seg_len[j] slots from
+        # seg_start[j] on, slot i being the CSR position i + seg_shift[j].
+        entry_pos, entries, size = no_entries, None, 0
+        seg_vertex, seg_start, seg_shift = [s], [0], [indptr[s]]
+        total = indptr[s + 1] - indptr[s]
+        seg_len = [total]
+        rejects, limit = 0, max(total // _FLUSH_SHARE, _FLUSH_MIN)
+        for _ in range(n - 1):
+            for x in draws:
+                i = int(x * total)
+                if i < size:
+                    pos = entries[i]
+                    v = indices[pos]
+                    if outside[v]:
+                        e = 2 * edge_ids[pos]
+                        u = ends[e] + ends[e + 1] - v  # the edge's other end
+                        break
+                else:
+                    j = bisect_right(seg_start, i) - 1
+                    v = indices[i + seg_shift[j]]
+                    if outside[v]:
+                        u = seg_vertex[j]
+                        break
+                rejects += 1
+                if rejects > limit:
+                    entry_pos = _flush(
+                        outside, g.adj_indices, entry_pos, seg_shift, seg_len, total
+                    )
+                    entries = memoryview(entry_pos)
+                    size = total = entry_pos.size
+                    seg_vertex, seg_start, seg_shift, seg_len = [], [], [], []
+                    rejects, limit = 0, max(total // _FLUSH_SHARE, _FLUSH_MIN)
+            parent[row + v] = u
+            outside[v] = 0
+            lo, hi = indptr[v], indptr[v + 1]
+            seg_vertex.append(v)
+            seg_start.append(total)
+            seg_shift.append(lo - total)
+            seg_len.append(hi - lo)
+            total += hi - lo
+            limit = max(total // _FLUSH_SHARE, _FLUSH_MIN)
+    return rows
+
+
+def _flush(outside, indices, entry_pos, seg_shift, seg_len, total):
+    """CSR positions of the live slots: the entries, then every pending
+    segment's half-edges, each kept when its far end is still outside."""
+    segments = np.arange(entry_pos.size, total) + np.repeat(
+        np.array(seg_shift, dtype=np.int64), np.array(seg_len, dtype=np.int64)
+    )
+    pos = np.concatenate([entry_pos, segments])
+    return pos[np.frombuffer(outside, dtype=bool)[indices[pos]]]

@@ -12,11 +12,11 @@ import math
 import numpy as np
 from scipy import stats
 
-from helpers import exact_set_chain
+from helpers import complete, exact_set_chain, rrt_height_pvalue
 from treegrowth import growth, harness
 from treegrowth.families import FamilySpec, build_family
 from treegrowth.harness import ExperimentSpec, run_experiment
-from treegrowth.randomness import stream_for
+from treegrowth.randomness import sample_exponential, stream_for
 
 # On K_n the cover time is a sum of independent Exp(i(n - i)) stages,
 # i = 1..n-1 (Janson, "One, two and three times log n/n for paths in a
@@ -156,3 +156,99 @@ def test_uniform_boundary_vertex_fails_the_parent_marginal(monkeypatch):
 
     monkeypatch.setattr(growth, "_grow_discrete_rows", uniform_vertex_rows)
     assert parent_marginal_pvalue() <= 1e-3
+
+
+# Depths one too deep at every vertex but the root shift every height by
+# one.  The exact K_64 height law of random recursive trees sees it; the
+# real code passes the same law on the same draws in test_growth
+# (test_discrete_height_on_complete_graph_matches_exact_law[segments-64] and
+# test_fpp_height_on_complete_graph_matches_exact_law).
+HEIGHT_N, HEIGHT_TRIALS = 64, 2000
+
+
+def depths_off_by_one(monkeypatch) -> None:
+    real = growth.forest_depths
+
+    def off_by_one(parent):
+        return real(parent) + (parent >= 0)
+
+    monkeypatch.setattr(growth, "forest_depths", off_by_one)
+
+
+def test_depths_off_by_one_fail_the_discrete_height_law(monkeypatch):
+    depths_off_by_one(monkeypatch)
+    g = complete(HEIGHT_N)
+    heights = np.array([
+        growth.grow_discrete(g, 0, stream_for(19, HEIGHT_N, t)).height()
+        for t in range(HEIGHT_TRIALS)
+    ])
+    assert rrt_height_pvalue(heights, HEIGHT_N) < 1e-3
+
+
+def test_depths_off_by_one_fail_the_fpp_height_law(monkeypatch):
+    depths_off_by_one(monkeypatch)
+    g = complete(HEIGHT_N)
+    size, stream = growth.block_size(g), stream_for(37, HEIGHT_N)
+    heights = np.concatenate([
+        growth.grow_fpp_block(
+            g, 0, sample_exponential(stream, (min(size, HEIGHT_TRIALS - t), g.m))
+        ).height
+        for t in range(0, HEIGHT_TRIALS, size)
+    ])
+    assert rrt_height_pvalue(heights, HEIGHT_N) < 1e-3
+
+
+# A `both` campaign must grow each trial's two trees from two streams: the
+# weights from path (experiment, trial, WEIGHT_CHANNEL) and the discrete
+# tree from (experiment, trial, DISCRETE_CHANNEL).  Reading one channel for
+# both shows in the heights on some graphs only (over 2000 trials at seed 5
+# the Spearman rho between the two read 0.124 against 0.014 for the real
+# code on K_8, but -0.020 against -0.011 on grid(2, 3)), so the check is
+# structural: it records which stream path each draw read.
+BOTH = ExperimentSpec(
+    GRID, process="both", trials=12, master_seed=5, experiment_id=3, metrics=("height",)
+)
+
+
+def channels_read(monkeypatch) -> tuple[list, list]:
+    """The stream paths the weight draws and the discrete trees of the
+    BOTH campaign read, in call order."""
+    made, weights, discrete = {}, [], []
+    real_stream, real_weights, real_grow = (
+        harness.stream_for, harness.sample_edge_weights, harness.grow_discrete
+    )
+
+    def tagged_stream(seed, *path):
+        stream = real_stream(seed, *path)
+        made[id(stream)] = stream, path  # holding the stream keeps its id unique
+        return stream
+
+    def logged_weights(g, stream, out=None):
+        weights.append(made[id(stream)][1])
+        return real_weights(g, stream, out=out)
+
+    def logged_grow(g, s, stream):
+        discrete.append(made[id(stream)][1])
+        return real_grow(g, s, stream)
+
+    monkeypatch.setattr(harness, "stream_for", tagged_stream)
+    monkeypatch.setattr(harness, "sample_edge_weights", logged_weights)
+    monkeypatch.setattr(harness, "grow_discrete", logged_grow)
+    run_experiment(BOTH)
+    return weights, discrete
+
+
+def reads_own_channels(monkeypatch) -> bool:
+    weights, discrete = channels_read(monkeypatch)
+    e, trials = BOTH.experiment_id, range(BOTH.trials)
+    return (weights == [(e, t, 0) for t in trials]
+            and discrete == [(e, t, 1) for t in trials])
+
+
+def test_both_campaign_reads_one_channel_per_process(monkeypatch):
+    assert reads_own_channels(monkeypatch)
+
+
+def test_one_channel_for_both_processes_fails_the_channel_check(monkeypatch):
+    monkeypatch.setattr(harness, "DISCRETE_CHANNEL", harness.WEIGHT_CHANNEL)
+    assert not reads_own_channels(monkeypatch)

@@ -7,7 +7,8 @@ statistically against the exact enumeration.  The discrete sampler is
 checked against the exact law on graphs where its flushes fire, a law
 test's block of trees bit for bit against one call per tree, each call
 reading on from the uniform after the last one the call before read (the
-first on a fresh stream, the rest on tapes that end in NaN), and its
+first on a fresh stream, the rest on tapes that end in NaN), row for row
+and batch for batch against its former loop kept in ``helpers``, and its
 heights on K_n against the exact height law of random recursive trees; the
 half-edge buffer sampler it replaced is kept here as an oracle with its own
 exact-law check.  The batched FPP kernel is checked bit for bit against a
@@ -46,7 +47,10 @@ from treegrowth.growth import (
 )
 from treegrowth.randomness import sample_exponential, stream_for
 
-from helpers import complete, connected_graphs, cycle, path
+import helpers
+from helpers import (
+    complete, connected_graphs, cycle, path, rrt_height_cdf, rrt_height_pvalue
+)
 
 HOUSE = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (2, 4), (3, 4)])
 
@@ -463,6 +467,41 @@ def test_discrete_rows_match_sequential_calls_where_flushes_fire(name, floor, mo
         assert_rows_match_calls(g, s, 200, (31, g.n, g.m, s))
 
 
+def assert_rows_match_former_loop(g: Graph, s: int, count: int, seed: tuple) -> None:
+    """A block from ``_grow_discrete_rows`` equals the former loop's block on
+    the same seed, and both draw the same batches of uniforms.  Each tree
+    reads on from where the last one stopped, so a tree that read one
+    uniform more or less, or a flush that fired at another draw, would move
+    every row after it."""
+    new, old = CountingStream(stream_for(*seed)), CountingStream(stream_for(*seed))
+    np.testing.assert_array_equal(
+        growth._grow_discrete_rows(g, s, new, count),
+        helpers._grow_discrete_rows(g, s, old, count),
+    )
+    assert (new.calls, new.drawn) == (old.calls, old.drawn)
+
+
+@pytest.mark.parametrize("floor", [growth._FLUSH_MIN, 1], ids=lambda f: f"floor{f}")
+@pytest.mark.parametrize("name", list(FLUSH_GRAPHS))
+def test_discrete_rows_match_the_former_loop_where_flushes_fire(name, floor, monkeypatch):
+    g = FLUSH_GRAPHS[name]
+    monkeypatch.setattr(growth, "_FLUSH_MIN", floor)
+    monkeypatch.setattr(helpers, "_FLUSH_MIN", floor)
+    for s in range(g.n):
+        assert_rows_match_former_loop(g, s, 300, (41, g.n, g.m, s))
+
+
+@pytest.mark.parametrize(
+    "g, count",
+    [(cycle(4), growth.block_size(cycle(4))), (HOUSE, growth.block_size(HOUSE)),
+     (complete(64), 20), (build_family(FamilySpec("grid", {"d": 8, "k": 1}))[0], 10),
+     (build_family(FamilySpec("grid", {"d": 1, "k": 299}))[0], 20)],
+    ids=["cycle4", "house", "complete64", "cube8", "path300"],
+)
+def test_discrete_rows_match_the_former_loop(g, count):
+    assert_rows_match_former_loop(g, 0, count, (43, g.n, g.m))
+
+
 def int64_copy(g: Graph) -> types.SimpleNamespace:
     """A duck-typed stand-in for ``g`` that carries int64 copies of its
     arrays, where a graph stores its CSR columns and edge ids as int32."""
@@ -545,33 +584,6 @@ def test_discrete_tree_holds_one_batch_at_a_time():
     assert peak < 6 * 96 * g.n
 
 
-def rrt_height_cdf(n: int, one=1.0, tail: float = 0.0) -> list:
-    """P(H_n <= h) for h = 0, 1, ..., H_n the height of a random recursive
-    tree on n vertices (the discrete tree on K_n, Pittel 1994).
-
-    Recursive trees of height at most h have the exponential generating
-    function T_h, with T_0 = z and T_h' = exp(T_{h-1}) (Drmota, *Random
-    Trees*, 2009), so P(H_n <= h) = [z^(n-1)] exp(T_{h-1}).  Series are
-    cut at degree n - 1 and every term is non-negative, so nothing cancels.
-    Pass ``one=Fraction(1)`` for exact values.  The list stops once
-    1 - P(H_n <= h) is at most ``tail``, and at h = n - 1 in any case.
-    """
-    top = n - 1
-    t = [one * 0] * (top + 1)  # T_0 = z
-    if top:
-        t[1] = one
-    cdf = [one if n == 1 else one * 0]
-    for _ in range(top):
-        e = [one] + [one * 0] * top  # exp(T_{h-1}) by b_k = sum_j j a_j b_{k-j} / k
-        for k in range(1, top + 1):
-            e[k] = sum(j * t[j] * e[k - j] for j in range(1, k + 1)) / k
-        cdf.append(e[top])
-        if 1 - cdf[-1] <= tail:
-            break
-        t = [one * 0] + [e[k - 1] / k for k in range(1, top + 1)]
-    return cdf
-
-
 def tree_height(g: Graph, key: tuple[int, ...], root: int) -> int:
     """Height of the spanning tree with edge ids ``key``, rooted at ``root``."""
     adj: dict[int, list[int]] = {v: [] for v in range(g.n)}
@@ -608,19 +620,6 @@ def test_rrt_height_law_known_values():
     sd = math.sqrt(float(pmf @ h**2) - mean**2)
     assert mean / math.log(n) == pytest.approx(1.9222, abs=5e-5)
     assert sd == pytest.approx(1.424, abs=5e-4)
-
-
-def rrt_height_pvalue(heights: np.ndarray, n: int) -> float:
-    """Chi-square p-value of tree heights on K_n against the random
-    recursive tree's height law, binned so every bin expects at least 5."""
-    trials = heights.size
-    cdf = np.array(rrt_height_cdf(n, tail=1e-12))
-    cuts = np.flatnonzero((cdf * trials >= 5) & ((1 - cdf) * trials >= 5))
-    edges = np.concatenate([[-1], cuts, [n]])  # bins (edges[i], edges[i + 1]]
-    expected = np.diff(np.concatenate([[0.0], cdf[cuts], [1.0]])) * trials
-    observed = np.histogram(heights, bins=edges + 0.5)[0]
-    assert observed.sum() == trials
-    return stats.chisquare(observed, expected).pvalue
 
 
 @pytest.mark.parametrize(
