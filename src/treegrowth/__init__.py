@@ -1,5 +1,7 @@
 """Spanning-tree growth and first-passage percolation experiments."""
 
+import types
+
 from treegrowth.counting import (
     BoundRow,
     CountRow,
@@ -57,53 +59,8 @@ from treegrowth.randomness import (
     stream_for,
 )
 
-__all__ = [
-    "BoundRow",
-    "BudgetExceededError",
-    "ConstructionMeta",
-    "CountRow",
-    "DecompositionReport",
-    "ExperimentSpec",
-    "FamilyError",
-    "FamilySpec",
-    "FppBlock",
-    "Graph",
-    "GraphError",
-    "GrowthCertificateError",
-    "HarnessError",
-    "LawComparison",
-    "MetricSummary",
-    "RootedTree",
-    "Summary",
-    "TailCheckReport",
-    "TreeDecomposition",
-    "TrialRecord",
-    "Verdict",
-    "bound_matrix",
-    "bound_paths_genus",
-    "bound_walks_degenerate",
-    "build_family",
-    "build_tree_decomposition_degenerate",
-    "check_erlang_head",
-    "check_erlang_tail",
-    "check_fpp_certificate",
-    "check_two_stage_sum",
-    "check_two_stage_tail",
-    "count_report",
-    "count_simple_paths_upto",
-    "count_walks_upto",
-    "exact_discrete_law",
-    "grow_discrete",
-    "grow_fpp_block",
-    "height_cutoff_plan",
-    "law_equivalence_test",
-    "plan_family",
-    "run_experiment",
-    "sample_edge_weights",
-    "sample_erlang",
-    "sample_exponential",
-    "sample_two_stage_min",
-    "stream_for",
-    "summarize",
-    "verify_tree_decomposition",
-]
+# The public API is every name imported above.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

@@ -11,8 +11,14 @@ runs as well, so the pilot and the gate cannot drift apart.
 
 Every trial count, experiment id, seed and tolerance is written out literally
 next to the check that uses it, so a verdict can be audited from this file
-alone.  The quick suite covers the exact/deterministic criteria; the full
-suite adds the Monte Carlo campaigns.
+alone.  The quick suite runs criteria 6, 10 and 11, which are exact or
+deterministic, and criterion 8, a seeded Monte Carlo check; the full suite
+adds the campaigns and the other Monte Carlo checks.
+
+Each criterion's docstring names a defect it catches and the smallest one
+it could see, worked out from the margins of one ``verify --suite full``
+run at master seed 7.  A scale error multiplies every value of the checked
+quantity; "3se" slack is included.
 """
 
 from __future__ import annotations
@@ -123,7 +129,13 @@ def _metric(summary, name: str):
 
 @_criterion(1, "process law equivalence")
 def criterion_1(workers: int) -> tuple[bool, str]:
-    """TV distance between each process and the exact law on four small graphs."""
+    """TV distance between each process and the exact law on four small graphs.
+
+    Catches a sampler with the wrong tree law, such as one joining a uniform
+    boundary vertex.  The worst TV reads 0.0034 against 0.02, so it sees a
+    law about 0.017 in TV from the exact one on one graph.  It is blind to
+    any scaling of the weights, which leaves every tree unchanged.
+    """
     graphs = [
         ("triangle", build_family(FamilySpec("complete", {"n": 3}))[0]),
         ("cycle4", Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])),
@@ -153,6 +165,11 @@ def criterion_1(workers: int) -> tuple[bool, str]:
 
 @_criterion(2, "complete graph height ratio")
 def criterion_2(workers: int) -> tuple[bool, str]:
+    """Catches a height-scale error: the ratios read 1.919 to 2.088 in
+    [1.5, 3.5], so it sees heights scaled below 0.78x or above 1.68x, or a
+    drift of 0.43 in the ratio across n (spread 0.169 against 0.6).  Depths
+    off by one add only 0.12 to 0.18, which passes; ``test_gate_power``
+    catches them with the exact K_64 height law."""
     ratios = {}
     for i, n in enumerate((256, 1024, 4096)):
         _, summary = _campaign(
@@ -175,6 +192,10 @@ def criterion_2(workers: int) -> tuple[bool, str]:
 
 @_criterion(3, "cover time log-diameter bound")
 def criterion_3(workers: int) -> tuple[bool, str]:
+    """Catches a time-scale error.  Every family reads 0 exceedances, and the
+    tightest, grid(2, 7), fails only once cover times grow about 5.3x
+    (grid(3, 3) 7.5x), so doubled weights pass; ``test_gate_power`` catches
+    them against Janson's K_32 mean."""
     corpus = [
         FamilySpec("complete", {"n": 32}),
         FamilySpec("complete", {"n": 256}),
@@ -204,6 +225,9 @@ def criterion_3(workers: int) -> tuple[bool, str]:
 
 @_criterion(4, "hypercube cover time")
 def criterion_4(workers: int) -> tuple[bool, str]:
+    """Catches a time-scale error: the cap of 14.05 against p99 2.14 to 2.45
+    sees only one above about 5.7x.  The mean ratio, 1.055 against 1.25,
+    sees an error that differs by 1.18x between two dimensions."""
     cap = 14.05
     p99s, means = {}, {}
     for i, d in enumerate((8, 10, 12)):
@@ -237,6 +261,9 @@ def grid_cover_summaries(trials: int, workers: int = 1) -> dict[tuple[int, int],
 
 @_criterion(5, "grid cover time per side length")
 def criterion_5(workers: int) -> tuple[bool, str]:
+    """Catches a time error that depends on the grid's shape: max/min reads
+    1.265 against 3, so it sees one of about 2.4x between two shapes.  A
+    time scale common to all shapes cancels in the ratio."""
     summaries = grid_cover_summaries(trials=1000, workers=workers)
     ratios = {
         (d, k): _metric(summary, "cover_time").p99 / k
@@ -272,6 +299,9 @@ COUNTING_CORPUS = (
 
 @_criterion(6, "walk and path count bounds")
 def criterion_6(workers: int) -> tuple[bool, str]:
+    """Catches a ceiling formula set too low, or a count too high, with zero
+    tolerance.  The tightest row is K_4 at length 0, 4 walks against a
+    ceiling of 8, so a ceiling must fall by half there to be seen."""
     max_length = 8
     walk_checks = path_checks = 0
     for label, family in COUNTING_CORPUS:
@@ -296,6 +326,9 @@ def criterion_6(workers: int) -> tuple[bool, str]:
 
 @_criterion(7, "two-stage tail and sum bounds")
 def criterion_7(workers: int) -> tuple[bool, str]:
+    """Nearly blind.  Eleven of its 21 points have a bound of at least 1 and
+    cannot fail; the other ten read 0 exceedances.  The smallest error it
+    sees is two-stage minima scaled up about 32x (a=8, b=4 at t=8)."""
     reports = []
     for i, (a, b) in enumerate(((4, 1), (8, 4), (16, 16))):
         reports.append(check_two_stage_tail(
@@ -318,6 +351,9 @@ def criterion_7(workers: int) -> tuple[bool, str]:
 
 @_criterion(8, "exponential sum head/tail bounds")
 def criterion_8(workers: int) -> tuple[bool, str]:
+    """Catches an Erlang sampler off in scale: sums scaled up 1.44x (k=20,
+    tail at t=3) or down 1.57x (k=10, head at d=8).  Half of its 12 points
+    read 0 hits."""
     reports = []
     for i, k in enumerate((5, 10, 20)):
         for j, d in enumerate((4, 8)):
@@ -350,6 +386,10 @@ IMPLICATION_CONFIGS = (
 
 @_criterion(9, "lower-bound construction heights")
 def criterion_9(workers: int) -> tuple[bool, str]:
+    """Catches any single trial where both events hold and the height falls
+    short of the target: the implication is checked on every trial.  The
+    height clause is weak: at L=64 the p10 height is 300 against a target
+    of 63, so heights must shrink below 0.21x on a tenth of the trials."""
     glued = FamilySpec("glued_G", {"L": 64, "delta": 8, "a": 4 * E2})
     target = build_family(glued)[1].height_target
     records, _ = _campaign(
@@ -407,6 +447,10 @@ def degenerate_certificate_rows() -> list[dict]:
 
 @_criterion(10, "degenerate decomposition certificate")
 def criterion_10(workers: int) -> tuple[bool, str]:
+    """Catches an invalid decomposition: one uncovered edge, one vertex whose
+    bags are disconnected, or one bag vertex too many, since the L=4 rows
+    sit at the width cap (3, 5 and 7).  The degeneracy clause fails today;
+    see README."""
     rows = degenerate_certificate_rows()
     decomposition_ok = sum(
         r["decomposition_valid"] and r["width"] <= r["width_cap"] for r in rows
@@ -426,6 +470,8 @@ def criterion_10(workers: int) -> tuple[bool, str]:
 
 @_criterion(11, "byte-identical reruns")
 def criterion_11(workers: int) -> tuple[bool, str]:
+    """Catches one differing byte in any output file across a rerun or
+    across worker counts 1 and 8, such as a stream keyed by the worker."""
     from .cli import main as cli_main
 
     config = {

@@ -109,14 +109,13 @@ def _cmd_trial(args: argparse.Namespace) -> int:
         metrics=("height", "cover_time", "hitting_times") if fpp else ("height",),
     )
     ctx = harness._make_context(spec, args.max_vertices)
-    (record,) = harness._run_block(ctx, range(1))
-    fields = record.to_json_dict()
+    columns = harness._run_block(ctx, range(1))
     keys = ["height"]
     if fpp:
         keys += ["cover_time", "longest_weighted_path_edges", "hitting_times"]
     doc = {"family": args.family, "n": ctx.g.n, "s": ctx.s,
            "master_seed": args.seed, "process": spec.process}
-    print(json.dumps(doc | {key: fields[key] for key in keys}))
+    print(json.dumps(doc | {key: columns[key][0] for key in keys}))
     return 0
 
 

@@ -761,12 +761,17 @@ def verify_tree_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionR
     # The bag graph must be a tree on all bags.
     if len(td.tree_edges) != nbag - 1:
         violations.append(f"bag tree has {len(td.tree_edges)} edges for {nbag} bags")
+    if not nbag:
+        violations.append("decomposition has no bags")
     adj: dict[int, list[int]] = {i: [] for i in range(nbag)}
     for a, b in td.tree_edges:
+        if a not in adj or b not in adj:
+            violations.append(f"bag tree edge ({a}, {b}) names a bag outside 0..{nbag - 1}")
+            continue
         adj[a].append(b)
         adj[b].append(a)
-    seen = {0}
-    stack = [0]
+    seen = {0} if nbag else set()
+    stack = list(seen)
     while stack:
         x = stack.pop()
         for y in adj[x]:

@@ -26,8 +26,11 @@ summed.
 
 The parent process builds the graph and the per-trial context once; pool
 workers receive that context at start-up and reuse it (copy-on-write under
-fork), so no worker builds the family again.  ``write_outputs`` owns the
-campaign's file set, ``OUTPUT_FILES``.
+fork), so no worker builds the family again.  A block of trials returns its
+columns, one list per measured record field; joined in trial order, they are
+the campaign's one data model, from which the records and the summary (metric
+rows, bound verdicts, event frequencies) are each built once.
+``write_outputs`` owns the campaign's file set, ``OUTPUT_FILES``.
 """
 
 from __future__ import annotations
@@ -276,10 +279,10 @@ def _summarize_metric(name: str, values: list[float]) -> MetricSummary:
 
 
 def check_upper_bounds(
-    records: list[TrialRecord], rows: list[BoundRow]
+    columns: dict[str, list], rows: list[BoundRow]
 ) -> list[Verdict]:
     """Exceedance verdicts, one per row of ``bound_matrix`` whose metric
-    the records hold.
+    has a column.
 
     A ceiling that does not apply to the graph has no row, so every row
     is checked.  Height rows exceed when height >= cutoff; cover rows when
@@ -287,11 +290,9 @@ def check_upper_bounds(
     binomial standard errors of slack so sampling noise alone cannot fail
     a true bound.
     """
-    heights = [r.height for r in records if r.height is not None]
-    covers = [r.cover_time for r in records if r.cover_time is not None]
     verdicts = []
     for row in rows:
-        values = heights if row.kind == "height" else covers
+        values = columns.get(row.kind)
         if not values:
             continue
         if row.kind == "height":
@@ -430,10 +431,10 @@ def _lower_bound_events(
     return np.stack([chain_fast, tree_slow, target_met, implication_ok], axis=1)
 
 
-def _run_block(ctx: _TrialContext, trials: range) -> list[TrialRecord]:
-    """Records of consecutive trials, built a field at a time: their FPP
-    trees come from one kernel call and their lower-bound events from one
-    pass."""
+def _run_block(ctx: _TrialContext, trials: range) -> dict[str, list]:
+    """The columns of consecutive trials: one list per measured record
+    field, in trial order.  Their FPP trees come from one kernel call and
+    their lower-bound events from one pass."""
     spec = ctx.spec
     metrics = spec.metrics
     columns: dict[str, list] = {}
@@ -472,16 +473,7 @@ def _run_block(ctx: _TrialContext, trials: range) -> list[TrialRecord]:
     if "height" not in metrics:
         columns.pop("height", None)
         columns.pop("height_discrete", None)
-    primary = DISCRETE_CHANNEL if spec.process == "discrete" else WEIGHT_CHANNEL
-    return [
-        TrialRecord(
-            trial=trial,
-            seed_path=(spec.experiment_id, trial, primary),
-            process=spec.process,
-            **{key: values[i] for key, values in columns.items()},
-        )
-        for i, trial in enumerate(trials)
-    ]
+    return columns
 
 
 _WORKER_CTX: _TrialContext | None = None
@@ -492,7 +484,7 @@ def _worker_init(ctx: _TrialContext) -> None:
     _WORKER_CTX = ctx
 
 
-def _worker_block(trials: range) -> list[TrialRecord]:
+def _worker_block(trials: range) -> dict[str, list]:
     assert _WORKER_CTX is not None
     return _run_block(_WORKER_CTX, trials)
 
@@ -509,7 +501,8 @@ def run_experiment(
     count; workers only change how the fixed per-trial work is scheduled.
     FPP trials run in blocks of consecutive trials, one shortest-path kernel
     call per block, each trial still drawing its weights from its own stream.
-    Pool workers get the context built here; they never build the graph.
+    Pool workers get the context built here and never build the graph.  The
+    blocks' columns, joined in trial order, give the records and the summary.
     """
     ctx = _make_context(spec, max_vertices)
     # Enough blocks that every worker gets one, none over the kernel's cap.
@@ -519,50 +512,53 @@ def run_experiment(
         for start in range(0, spec.trials, size)
     ]
     if spec.workers == 1 or len(blocks) == 1:
-        records = [r for block in blocks for r in _run_block(ctx, block)]
+        parts = [_run_block(ctx, block) for block in blocks]
     else:
         with multiprocessing.Pool(
             processes=spec.workers,
             initializer=_worker_init,
             initargs=(ctx,),
         ) as pool:
-            records = [r for part in pool.map(_worker_block, blocks, 1) for r in part]
-    return records, summarize(spec, ctx, records)
+            parts = pool.map(_worker_block, blocks, 1)
+    columns = {key: [v for part in parts for v in part[key]] for key in parts[0]}
+    primary = DISCRETE_CHANNEL if spec.process == "discrete" else WEIGHT_CHANNEL
+    records = [
+        TrialRecord(
+            trial=trial,
+            seed_path=(spec.experiment_id, trial, primary),
+            process=spec.process,
+            **{key: values[trial] for key, values in columns.items()},
+        )
+        for trial in range(spec.trials)
+    ]
+    return records, summarize(spec, ctx, columns)
 
 
 def summarize(
-    spec: ExperimentSpec, ctx: _TrialContext, records: list[TrialRecord]
+    spec: ExperimentSpec, ctx: _TrialContext, columns: dict[str, list]
 ) -> Summary:
-    metric_rows = []
-    for name in ("height", "height_discrete", "cover_time",
-                 "longest_weighted_path_edges"):
-        values = [getattr(r, name) for r in records]
-        values = [float(v) for v in values if v is not None]
-        if values:
-            metric_rows.append(_summarize_metric(name, values))
+    """Metric rows, bound verdicts and event frequencies, read from the columns."""
+    metric_rows = tuple(
+        _summarize_metric(name, [float(v) for v in columns[name]])
+        for name in ("height", "height_discrete", "cover_time",
+                     "longest_weighted_path_edges")
+        if name in columns
+    )
     verdicts: tuple[Verdict, ...] = ()
     if "bound_matrix" in spec.metrics:
-        rows = bound_matrix(ctx.g, ctx.meta)
-        verdicts = tuple(check_upper_bounds(records, rows))
+        verdicts = tuple(check_upper_bounds(columns, bound_matrix(ctx.g, ctx.meta)))
     freqs = None
     if "event_AB" in spec.metrics:
-        n = len(records)
+        chain_fast, tree_slow = columns["event_chain_fast"], columns["event_tree_slow"]
+        n = spec.trials
         freqs = {
-            "chain_fast": sum(bool(r.event_chain_fast) for r in records) / n,
-            "tree_slow": sum(bool(r.event_tree_slow) for r in records) / n,
-            "both_events": sum(
-                bool(r.event_chain_fast and r.event_tree_slow) for r in records
-            )
-            / n,
-            "height_target_met": sum(bool(r.height_target_met) for r in records) / n,
-            "implication_ok": sum(bool(r.implication_ok) for r in records) / n,
+            "chain_fast": sum(chain_fast) / n,
+            "tree_slow": sum(tree_slow) / n,
+            "both_events": sum(a and b for a, b in zip(chain_fast, tree_slow)) / n,
+            "height_target_met": sum(columns["height_target_met"]) / n,
+            "implication_ok": sum(columns["implication_ok"]) / n,
         }
-    return Summary(
-        trials=len(records),
-        metrics=tuple(metric_rows),
-        verdicts=verdicts,
-        event_freqs=freqs,
-    )
+    return Summary(spec.trials, metric_rows, verdicts, freqs)
 
 
 # -- flat-file emission ----------------------------------------------------------------

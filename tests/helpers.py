@@ -14,6 +14,7 @@ from scipy.sparse.csgraph import breadth_first_order
 
 from treegrowth import growth
 from treegrowth.graphs import _BOUNDARY_SCAN_MAX_N, BudgetExceededError, Graph, GraphError
+from treegrowth.randomness import stream_for
 
 
 def complete(n: int) -> Graph:
@@ -166,6 +167,53 @@ def rrt_height_pvalue(heights: np.ndarray, n: int) -> float:
     observed = np.histogram(heights, bins=edges + 0.5)[0]
     assert observed.sum() == trials
     return stats.chisquare(observed, expected).pvalue
+
+
+def homogeneity_pvalue(a: np.ndarray, b: np.ndarray) -> float:
+    """Chi-square p-value that two equal-sized samples of integers share one
+    law.  Adjacent values are pooled, in order, until each bin holds at
+    least 10 of the pooled draws, so each sample expects at least 5 there;
+    a short last run joins the bin before it."""
+    values, counts = np.unique(np.concatenate([a, b]), return_counts=True)
+    tops, run = [], 0
+    for value, c in zip(values.tolist(), counts.tolist()):
+        run += c
+        if run >= 10:
+            tops.append(value)
+            run = 0
+    if len(tops) < 2:
+        return 1.0
+    table = [np.bincount(np.searchsorted(tops[:-1], x), minlength=len(tops)) for x in (a, b)]
+    return stats.chi2_contingency(table, correction=False).pvalue
+
+
+def leaf_counts(parents: np.ndarray) -> np.ndarray:
+    """Leaves of each tree in a (trees, n) parent array, -1 at the root."""
+    rows, child = np.nonzero(parents >= 0)
+    has_child = np.zeros(parents.shape, dtype=bool)
+    has_child[rows, parents[rows, child]] = True
+    return parents.shape[1] - has_child.sum(axis=1)
+
+
+def paired_tree_shapes(g: Graph, seed: int, experiment: int, trees: int):
+    """Heights and leaf counts of ``trees`` discrete and ``trees`` FPP
+    trees from vertex 0, as ((discrete, fpp) heights, (discrete, fpp)
+    leaves).  Trial t grows its discrete tree with ``grow_discrete`` on
+    stream (seed, experiment, t, 1) and its FPP tree with
+    ``grow_fpp_block`` on weights from stream (seed, experiment, t, 0),
+    the channels of a ``both`` campaign."""
+    grown = [growth.grow_discrete(g, 0, stream_for(seed, experiment, t, 1))
+             for t in range(trees)]
+    weights = np.empty((trees, g.m))
+    for t in range(trees):
+        growth.sample_edge_weights(g, stream_for(seed, experiment, t, 0), out=weights[t])
+    size = growth.block_size(g)
+    blocks = [growth.grow_fpp_block(g, 0, weights[t:t + size]) for t in range(0, trees, size)]
+    heights = (np.array([tree.height() for tree in grown]),
+               np.concatenate([block.height for block in blocks]))
+    leaves = (leaf_counts(np.array([tree.parent for tree in grown])),
+              leaf_counts(np.concatenate([block.parent for block in blocks])))
+    return heights, leaves
 
 
 # -- the discrete sampler's former loop ----------------------------------------

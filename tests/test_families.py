@@ -593,3 +593,22 @@ def test_verifier_rejects_bad_decompositions():
     td2 = TreeDecomposition((frozenset({0, 1, 2}),), ((0, 0),))
     report2 = verify_tree_decomposition(g, td2)
     assert not report2.passed
+
+
+def test_verifier_reports_a_bag_tree_edge_outside_the_bags():
+    from helpers import complete
+
+    td = TreeDecomposition((frozenset({0, 1, 2}), frozenset({1, 2})), ((0, 5),))
+    report = verify_tree_decomposition(complete(3), td)
+    assert not report.passed
+    assert "bag tree edge (0, 5) names a bag outside 0..1" in report.violations
+    assert "bag tree is disconnected" in report.violations
+
+
+def test_verifier_reports_no_bags():
+    from helpers import complete
+
+    report = verify_tree_decomposition(complete(3), TreeDecomposition((), ()))
+    assert not report.passed and report.width == -1
+    assert "decomposition has no bags" in report.violations
+    assert "vertex 0 is in no bag" in report.violations

@@ -13,6 +13,7 @@ import numpy as np
 from scipy import stats
 
 from helpers import complete, exact_set_chain, rrt_height_pvalue
+from test_law_midsize import LAW_THRESHOLD, shape_pvalues
 from treegrowth import growth, harness
 from treegrowth.families import FamilySpec, build_family
 from treegrowth.harness import ExperimentSpec, run_experiment
@@ -137,25 +138,33 @@ def test_fpp_parent_marginal_matches_known_answer():
     assert marginal_pvalue(g, growth.grow_fpp_block(g, 0, weights).parent) > 1e-3
 
 
-def test_uniform_boundary_vertex_fails_the_parent_marginal(monkeypatch):
+def uniform_vertex_rows(g, s, stream, count):
     # Joining a uniform boundary vertex, not the far end of a uniform
     # boundary edge, under-weights vertices with many edges into the tree.
     # K_n cannot show it: there every outside vertex has as many.
-    def uniform_vertex_rows(g, s, stream, count):
-        nbrs = [set(g.neighbors(v).tolist()) for v in range(g.n)]
-        rows = np.full((count, g.n), -1)
-        for row in rows:
-            tree, boundary = {s}, set(nbrs[s])
-            while boundary:
-                v = sorted(boundary)[stream.integers(len(boundary))]
-                ups = sorted(nbrs[v] & tree)
-                row[v] = ups[stream.integers(len(ups))]
-                tree.add(v)
-                boundary = (boundary | nbrs[v]) - tree
-        return rows
+    nbrs = [set(g.neighbors(v).tolist()) for v in range(g.n)]
+    rows = np.full((count, g.n), -1)
+    for row in rows:
+        tree, boundary = {s}, set(nbrs[s])
+        while boundary:
+            v = sorted(boundary)[stream.integers(len(boundary))]
+            ups = sorted(nbrs[v] & tree)
+            row[v] = ups[stream.integers(len(ups))]
+            tree.add(v)
+            boundary = (boundary | nbrs[v]) - tree
+    return rows
 
+
+def test_uniform_boundary_vertex_fails_the_parent_marginal(monkeypatch):
     monkeypatch.setattr(growth, "_grow_discrete_rows", uniform_vertex_rows)
     assert parent_marginal_pvalue() <= 1e-3
+
+
+def test_uniform_boundary_vertex_fails_the_midsize_leaf_count(monkeypatch):
+    # The same mutant grown on grid(2, 15), n = 256, where no exact law is
+    # within reach: its leaf count parts from the FPP trees'.
+    monkeypatch.setattr(growth, "_grow_discrete_rows", uniform_vertex_rows)
+    assert shape_pvalues("grid2x15")[1] <= LAW_THRESHOLD
 
 
 # Depths one too deep at every vertex but the root shift every height by

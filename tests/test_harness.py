@@ -24,7 +24,6 @@ from treegrowth.harness import (
     RECORD_KEYS,
     ExperimentSpec,
     HarnessError,
-    TrialRecord,
     check_upper_bounds,
     run_experiment,
     write_records_jsonl,
@@ -257,10 +256,7 @@ def test_metric_summary_nearest_rank_oracle():
 
 
 def _height_records(heights):
-    return [
-        TrialRecord(trial=i, seed_path=(0, i, 0), process="fpp", height=h)
-        for i, h in enumerate(heights)
-    ]
+    return {"height": heights}
 
 
 def test_check_upper_bounds_rules():
