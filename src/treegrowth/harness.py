@@ -26,11 +26,10 @@ summed.
 
 The parent process builds the graph and the per-trial context once; pool
 workers receive that context at start-up and reuse it (copy-on-write under
-fork), so no worker builds the family again.  A block of trials returns its
-columns, one list per measured record field; joined in trial order, they are
-the campaign's one data model, from which the records and the summary (metric
-rows, bound verdicts, event frequencies) are each built once.
-``write_outputs`` owns the campaign's file set, ``OUTPUT_FILES``.
+fork), so no worker builds the family again.  A block returns its columns,
+one list per measured record field; joined in trial order, they give the
+records and the summary, each built once.  ``write_outputs`` owns the
+campaign's file set, ``OUTPUT_FILES``.
 """
 
 from __future__ import annotations
@@ -209,13 +208,8 @@ class TrialRecord:
     implication_ok: bool | None = None
 
     def to_json_dict(self) -> dict:
-        doc = {}
-        for key in RECORD_KEYS:
-            value = getattr(self, key)
-            if isinstance(value, tuple):
-                value = list(value)
-            doc[key] = value
-        return doc
+        """The fields in RECORD_KEYS order; JSON writes a tuple as a list."""
+        return {key: getattr(self, key) for key in RECORD_KEYS}
 
 
 RECORD_KEYS = tuple(f.name for f in fields(TrialRecord))
